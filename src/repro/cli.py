@@ -36,7 +36,7 @@ Subcommands mirror the workflow of the paper::
     repro metrics fig3 --workers 4                  # same, with solver metrics
 
     repro profile model.pepa                        # fast-path vs naive derivation
-    repro profile model.pepa --kronecker --json
+    repro profile model.pepa --json
 
 Exit codes: 0 success, 1 library error, 2 usage error.
 """
@@ -335,7 +335,7 @@ def _solve_command(args: argparse.Namespace) -> int:
             return 2
     source = pathlib.Path(args.model).read_text()
     from repro.errors import ReplayError
-    from repro.manifest import lower_for_capability, model_context, model_descriptor
+    from repro.manifest import lower_and_resolve, model_context, model_descriptor
 
     derive_backend = getattr(args, "derive", None)
     if (
@@ -360,7 +360,7 @@ def _solve_command(args: argparse.Namespace) -> int:
             else:
                 derive_backend, args.backend = args.backend, None
     try:
-        ir, labels = lower_for_capability(
+        ir, labels, derive_backend = lower_and_resolve(
             formalism, source, args.capability, derive_backend=derive_backend
         )
     except ReplayError as exc:
@@ -747,13 +747,6 @@ def _profile_command(args: argparse.Namespace) -> int:
         naive_s, _ = best_of(
             lambda: derive_reference(model, max_states=args.max_states)
         )
-        kron_s = None
-        if args.kronecker:
-            from repro.pepa import kronecker_markov_ir
-
-            kron_s, _ = best_of(
-                lambda: kronecker_markov_ir(model, max_states=args.max_states)
-            )
         pop_s = pop_space = None
         from repro.pepa import derive_population, has_replicated_symmetry
 
@@ -777,10 +770,8 @@ def _profile_command(args: argparse.Namespace) -> int:
         "memo_misses": misses,
         "memo_hit_rate": hits / total if total else 0.0,
         "product_state_bound": product_state_bound(model, cap=args.max_states),
-        "auto_backend": select_derive_backend(model, max_states=args.max_states),
+        "auto_backend": select_derive_backend(model),
     }
-    if kron_s is not None:
-        report["kronecker_seconds"] = kron_s
     if pop_s is not None:
         report["population_seconds"] = pop_s
         report["population_states"] = pop_space.size
@@ -800,8 +791,6 @@ def _profile_command(args: argparse.Namespace) -> int:
     print(f"  csr assembly     : {csr_seconds:.6f} s")
     print(f"  memo hit rate    : {report['memo_hit_rate']:.1%} "
           f"({hits} hits, {misses} misses)")
-    if kron_s is not None:
-        print(f"  kronecker        : {kron_s:.6f} s")
     if pop_s is not None:
         print(f"  population       : {pop_s:.6f} s "
               f"({report['population_states']} states, "
@@ -945,7 +934,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--derive",
         metavar="BACKEND",
-        help="derivation strategy for pepa models (explicit, kronecker, "
+        help="derivation strategy for pepa models (explicit, "
         "population/lumped, auto); default explicit",
     )
     p.add_argument(
@@ -1179,8 +1168,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="repetitions per strategy (best time is reported)")
     p.add_argument("--max-states", type=_positive_int, default=1_000_000,
                    help="state-space size cap")
-    p.add_argument("--kronecker", action="store_true",
-                   help="also time the generalized-Kronecker construction")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
     p.set_defaults(func=_profile_command)

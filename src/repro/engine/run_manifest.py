@@ -157,7 +157,8 @@ def model_descriptor(
     ``derive_backend`` records a non-default derivation strategy (e.g.
     ``population``) so a replay lowers the source the same way — a
     population-form chain and the explicit chain of the same source are
-    different state spaces.
+    different state spaces.  Callers record the strategy that ran, with
+    ``auto`` already resolved (:func:`repro.manifest.lower_and_resolve`).
     """
     out = {
         "formalism": formalism,

@@ -201,62 +201,6 @@ class MarkovIR:
         self._action_rates[action] = R
         return R
 
-    def restricted_to_reachable(self) -> tuple["MarkovIR", np.ndarray]:
-        """Restrict the chain to the states reachable from the initial one.
-
-        Compositional constructions (the generalized-Kronecker ``derive``
-        backend) build the *full* product space; this trims it to the
-        component the chain can actually visit.  Reachability follows
-        positive off-diagonal generator entries, so the kept set is
-        closed — no transition leaves it — and row sums are preserved.
-
-        Returns ``(sub_ir, kept)`` where ``kept`` holds the original
-        indices of the retained states in ascending order.  When every
-        state is reachable, ``self`` is returned unchanged.
-        """
-        Q = self.generator.tocsr()
-        n = self.n_states
-        indptr, indices, data = Q.indptr, Q.indices, Q.data
-        seen = np.zeros(n, dtype=bool)
-        seen[self.initial_index] = True
-        stack = [self.initial_index]
-        while stack:
-            i = stack.pop()
-            for k in range(indptr[i], indptr[i + 1]):
-                j = indices[k]
-                if j != i and data[k] > 0.0 and not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        if bool(seen.all()):
-            return self, np.arange(n, dtype=np.intp)
-        kept = np.flatnonzero(seen)
-        remap = np.full(n, -1, dtype=np.intp)
-        remap[kept] = np.arange(kept.size, dtype=np.intp)
-        table: dict = {}
-        if self.has_transitions:
-            keep = seen[self.trans_source] & seen[self.trans_target]
-            table = {
-                "trans_source": remap[self.trans_source[keep]],
-                "trans_target": remap[self.trans_target[keep]],
-                "trans_rate": self.trans_rate[keep],
-                "trans_action": (
-                    tuple(a for a, k in zip(self.trans_action, keep) if k)
-                    if self.trans_action is not None
-                    else None
-                ),
-            }
-        sub = MarkovIR(
-            generator=Q[kept][:, kept].tocsr(),
-            initial_index=int(remap[self.initial_index]),
-            labels=(
-                tuple(self.labels[i] for i in kept)
-                if self.labels is not None
-                else None
-            ),
-            **table,
-        )
-        return sub, kept
-
     def ssa_tables(self) -> list[tuple[np.ndarray, np.ndarray, tuple[str, ...]]]:
         """Per-state jump tables ``(cum_rates, targets, actions)``.
 

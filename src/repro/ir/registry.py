@@ -3,8 +3,8 @@
 Backends register under a ``(capability, name)`` pair; the six
 capabilities are::
 
-    derive      frontend model -> MarkovIR (PEPA: explicit / naive /
-                generalized-Kronecker derivation strategies)
+    derive      frontend model -> MarkovIR (PEPA: explicit / population
+                derivation strategies)
     steady      equilibrium distribution of a MarkovIR
     transient   distribution over a time grid of a MarkovIR
     passage     first-passage CDF/mean into a target set of a MarkovIR

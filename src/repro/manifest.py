@@ -63,6 +63,7 @@ __all__ = [
     "instantiate_descriptor",
     "last_manifest",
     "load_manifest",
+    "lower_and_resolve",
     "lower_for_capability",
     "model_context",
     "model_descriptor",
@@ -92,24 +93,42 @@ def lower_for_capability(
     :class:`ReplayError` for combinations that have no finite-CTMC
     semantics (gpepa is lowered to population dynamics only).
     """
+    ir, labels, _ = lower_and_resolve(
+        formalism, source, capability, derive_backend=derive_backend
+    )
+    return ir, labels
+
+
+def lower_and_resolve(
+    formalism: str,
+    source: str,
+    capability: str,
+    derive_backend: str | None = None,
+):
+    """:func:`lower_for_capability` that also names the derive backend
+    that ran: returns ``(ir, labels, derive_backend)`` with ``auto``
+    resolved to ``explicit`` or ``population``, which is what a manifest
+    must record — replay then does not depend on the selector."""
     markov = capability in ("steady", "transient", "passage")
     if formalism == "pepa":
         from repro.pepa import ctmc_of, derive, parse_model
 
+        model = parse_model(source)
         if derive_backend is not None:
             from repro.ir import solve as ir_solve
+            from repro.pepa.derivation import resolve_derive_backend
 
-            ir = ir_solve(
-                parse_model(source), "derive", backend=derive_backend
-            )
+            derive_backend = resolve_derive_backend(model, derive_backend)
+            ir = ir_solve(model, "derive", backend=derive_backend)
             labels = ir.labels or tuple(
                 str(i) for i in range(ir.n_states)
             )
-            return ir, labels
-        chain = ctmc_of(derive(parse_model(source)))
-        return chain.lower(), tuple(
+            return ir, labels, derive_backend
+        chain = ctmc_of(derive(model))
+        labels = tuple(
             chain.space.state_label(i) for i in range(chain.n_states)
         )
+        return chain.lower(), labels, None
     if derive_backend is not None:
         raise ReplayError(
             f"derive backend {derive_backend!r} only applies to the pepa "
@@ -121,11 +140,11 @@ def lower_for_capability(
         model = parse_biopepa(source)
         if markov:
             chain = population_ctmc(model)
-            return chain.lower(), chain.lower().labels
+            return chain.lower(), chain.lower().labels, None
         from repro.biopepa.lower import lower_reactions
 
         ir = lower_reactions(model)
-        return ir, ir.species
+        return ir, ir.species, None
     if formalism == "gpepa":
         # gpepa: population semantics only (no finite global CTMC).
         if markov:
@@ -138,7 +157,7 @@ def lower_for_capability(
         from repro.gpepa.lower import lower_reactions as lower_grouped
 
         ir = lower_grouped(parse_gpepa(source))
-        return ir, ir.species
+        return ir, ir.species, None
     raise ReplayError(f"unknown formalism {formalism!r}")
 
 
@@ -154,13 +173,13 @@ def run_from_source(
     context so the resulting manifest is self-contained (replayable)."""
     from repro.ir import solve as ir_solve
 
+    ir, _labels, derive_backend = lower_and_resolve(
+        formalism, source, capability, derive_backend=derive_backend
+    )
     descriptor = model_descriptor(
         formalism, source, derive_backend=derive_backend
     )
     with model_context(descriptor):
-        ir, _labels = lower_for_capability(
-            formalism, source, capability, derive_backend=derive_backend
-        )
         return ir_solve(ir, capability, backend=backend, **params)
 
 

@@ -65,11 +65,6 @@ from repro.pepa.simulation import (
     SimulatedPath,
 )
 from repro.pepa.probes import attach_probe, probe_passage_time
-from repro.pepa.kronecker import (
-    kronecker_generator,
-    kronecker_markov_ir,
-    kronecker_states,
-)
 from repro.pepa import derivation  # registers the 'derive' IR backends
 from repro.pepa import csl
 from repro.pepa.export import (
@@ -133,9 +128,6 @@ __all__ = [
     "SimulatedPath",
     "attach_probe",
     "probe_passage_time",
-    "kronecker_generator",
-    "kronecker_markov_ir",
-    "kronecker_states",
     "csl",
     "to_prism_tra",
     "to_prism_sta",

@@ -1,14 +1,14 @@
 """PEPA derivation strategies as IR-registry ``derive`` backends.
 
 Importing this module (``repro.pepa`` does it on package import)
-registers three strategies plus an auto-selector under the registry's
+registers two strategies plus an auto-selector under the registry's
 ``derive`` capability, so callers can pick how a PEPA model becomes a
 :class:`repro.ir.MarkovIR`::
 
     from repro.ir import solve
-    ir = solve(model, "derive")                      # explicit (default)
-    ir = solve(model, "derive", backend="kronecker") # compositional
-    ir = solve(model, "derive", backend="auto")      # size heuristic
+    ir = solve(model, "derive")                       # explicit (default)
+    ir = solve(model, "derive", backend="population") # orbit quotient
+    ir = solve(model, "derive", backend="auto")       # by symmetry
 
 Backends
 --------
@@ -17,19 +17,8 @@ Backends
     :func:`repro.pepa.ctmc.ctmc_of` + ``lower()``.  Bit-identical to
     every pre-existing analysis (same state order, same transition
     table, same seeded SSA streams); caching happens in those layers.
-
-``naive`` (alias ``reference``)
-    The retained un-memoized reference walk
-    (:func:`repro.pepa.statespace.derive_reference`) — the oracle the
-    fast path is property-tested against.  Never cached.
-
-``kronecker`` (alias ``compositional``)
-    The generalized Kronecker product construction
-    (:func:`repro.pepa.kronecker.kronecker_markov_ir`), restricted to
-    the reachable component.  State *ordering* differs from explicit
-    derivation (mixed-radix product order, no transition table), so use
-    it for generator-level analyses, not for seeded-simulation
-    reproducibility.  Registry-cached.
+    The un-memoized walk :func:`repro.pepa.statespace.derive_reference`
+    is its test oracle and is called directly, not through the registry.
 
 ``population`` (alias ``lumped``)
     Population-form derivation
@@ -43,19 +32,16 @@ Backends
     lumped-derive sentinel.
 
 ``auto``
-    Picks ``population`` when the model replicates symmetric components
-    (see :func:`repro.pepa.population.has_replicated_symmetry`), else
-    ``kronecker`` when the full product space provably fits the
-    ``max_states`` budget (see :func:`product_state_bound`), otherwise
+    ``population`` when the model replicates symmetric components (see
+    :func:`repro.pepa.population.has_replicated_symmetry`), otherwise
     ``explicit``; records the choice under ``derive.auto.*`` metrics.
+    :func:`resolve_derive_backend` performs the same resolution for
+    callers that must record the backend that ran (run manifests).
 
-The capability carries a fallback chain ``kronecker -> population ->
-explicit`` whose retry policy treats
-:class:`~repro.errors.StateSpaceLimitError` as recoverable: a
-requested-``population`` derivation that blows the (aggregated) limit
-degrades to explicit derivation instead of failing the solve, and a
-Kronecker product space that blows the limit walks the rest of the
-chain.
+The capability carries a fallback chain ``population -> explicit``
+whose retry policy treats :class:`~repro.errors.StateSpaceLimitError`
+as recoverable: a ``population`` derivation that fails recoverably
+degrades to explicit derivation instead of failing the solve.
 
 The module also registers the ``derive`` shadow hook with the trust
 layer: sampled ``population`` derivations are re-derived explicitly
@@ -75,13 +61,12 @@ from repro.ir.registry import (
     register_fallback_chain,
 )
 from repro.pepa.ctmc import ctmc_of
-from repro.pepa.kronecker import kronecker_markov_ir
 from repro.pepa.population import (
     has_replicated_symmetry,
     population_markov_ir,
 )
 from repro.pepa.semantics import SequentialSemantics
-from repro.pepa.statespace import derive, derive_reference
+from repro.pepa.statespace import derive
 from repro.pepa.syntax import (
     Cooperation,
     Hiding,
@@ -92,11 +77,10 @@ from repro.pepa.syntax import (
 
 __all__ = [
     "derive_explicit",
-    "derive_naive",
-    "derive_kronecker",
     "derive_population",
     "derive_auto",
     "product_state_bound",
+    "resolve_derive_backend",
     "select_derive_backend",
 ]
 
@@ -106,28 +90,18 @@ def derive_explicit(model: Model, max_states: int = 1_000_000) -> MarkovIR:
     return ctmc_of(derive(model, max_states=max_states)).lower()
 
 
-def derive_naive(model: Model, max_states: int = 1_000_000) -> MarkovIR:
-    """Un-memoized reference derivation lowered to the IR."""
-    return ctmc_of(derive_reference(model, max_states=max_states)).lower()
-
-
-def derive_kronecker(model: Model, max_states: int = 1_000_000) -> MarkovIR:
-    """Generalized-Kronecker compositional construction (product order)."""
-    return kronecker_markov_ir(model, max_states=max_states)
-
-
 def derive_population(model: Model, max_states: int = 1_000_000) -> MarkovIR:
     """Population-form derivation: one state per replica-symmetry orbit."""
     return population_markov_ir(model, max_states=max_states)
 
 
 def product_state_bound(model: Model, cap: int = 10_000_000) -> int | None:
-    """Size of the full Kronecker product space, or ``None`` if unknown.
+    """Upper bound on the explicit state count, or ``None`` if unknown.
 
     Multiplies the local-derivative counts of the sequential leaves
     (each bounded by a BFS of its local chain).  Returns ``None`` when
     the bound exceeds ``cap`` or a leaf cannot be walked — both mean
-    "do not attempt the compositional construction".
+    "the explicit space may not fit".
     """
     semantics = SequentialSemantics(model)
 
@@ -161,10 +135,9 @@ def product_state_bound(model: Model, cap: int = 10_000_000) -> int | None:
     return bound
 
 
-def select_derive_backend(model: Model, max_states: int = 1_000_000) -> str:
-    """``population`` when replicated symmetric components exist,
-    ``kronecker`` when the full product space fits ``max_states``,
-    else ``explicit``."""
+def select_derive_backend(model: Model) -> str:
+    """``population`` when replicated symmetric components exist, else
+    ``explicit``."""
     try:
         if has_replicated_symmetry(model):
             return "population"
@@ -172,22 +145,26 @@ def select_derive_backend(model: Model, max_states: int = 1_000_000) -> str:
         # An unanalyzable structure is diagnosed by the chosen strategy
         # itself; the selector just declines to aggregate.
         pass
-    bound = product_state_bound(model, cap=max_states)
-    if bound is not None and bound <= max_states:
-        return "kronecker"
     return "explicit"
 
 
-def derive_auto(model: Model, max_states: int = 1_000_000) -> MarkovIR:
-    """Auto-select a derivation strategy (symmetry, then size bound)."""
+def resolve_derive_backend(model: Model, backend: str) -> str:
+    """The backend ``backend`` runs for ``model``: ``auto`` resolves
+    through :func:`select_derive_backend` (counted under
+    ``derive.auto.*``); any other name is returned unchanged."""
+    if backend != "auto":
+        return backend
     from repro.engine.metrics import get_registry
 
-    choice = select_derive_backend(model, max_states=max_states)
+    choice = select_derive_backend(model)
     get_registry().increment(f"derive.auto.{choice}")
-    if choice == "population":
+    return choice
+
+
+def derive_auto(model: Model, max_states: int = 1_000_000) -> MarkovIR:
+    """Derive with the strategy :func:`select_derive_backend` picks."""
+    if resolve_derive_backend(model, "auto") == "population":
         return derive_population(model, max_states=max_states)
-    if choice == "kronecker":
-        return derive_kronecker(model, max_states=max_states)
     return derive_explicit(model, max_states=max_states)
 
 
@@ -200,11 +177,11 @@ _SHADOW_EXPLICIT_LIMIT = 20_000
 def _derive_shadow_partner(primary: str, model) -> str | None:
     """Shadow partner for sampled ``derive`` dispatches.
 
-    Only population-form derivations are shadowed (the explicit/naive
-    pair is already property-tested, and kronecker states are ordered
-    differently by design), and only when the full product space
-    provably fits a modest budget — otherwise the explicit re-derivation
-    the shadow pass would run could itself blow up.
+    Only population-form derivations are shadowed (explicit derivation
+    is property-tested against the reference walk), and only when the
+    full product space provably fits a modest budget — otherwise the
+    explicit re-derivation the shadow pass would run could itself blow
+    up.
     """
     if primary not in ("population", "lumped"):
         return None
@@ -274,9 +251,9 @@ def _derive_shadow_compare(model, result, shadow_result) -> float:
 
 
 def _register() -> None:
-    # explicit/naive are not registry-cached: the statespace/ctmc layers
-    # already serve them from the content cache, and caching the lowered
-    # IR again would only duplicate storage.
+    # explicit is not registry-cached: the statespace/ctmc layers already
+    # serve it from the content cache, and caching the lowered IR again
+    # would only duplicate storage.
     register_backend(
         "derive",
         "explicit",
@@ -285,22 +262,6 @@ def _register() -> None:
         aliases=("fast", "bfs"),
         cache=False,
         default=True,
-    )
-    register_backend(
-        "derive",
-        "naive",
-        derive_naive,
-        accepts=(Model,),
-        aliases=("reference",),
-        cache=False,
-    )
-    register_backend(
-        "derive",
-        "kronecker",
-        derive_kronecker,
-        accepts=(Model,),
-        aliases=("compositional",),
-        cache=True,
     )
     register_backend(
         "derive",
@@ -320,9 +281,7 @@ def _register() -> None:
     policy = RetryPolicy(
         recoverable=RetryPolicy().recoverable + (StateSpaceLimitError,)
     )
-    register_fallback_chain(
-        "derive", ("kronecker", "population", "explicit"), policy
-    )
+    register_fallback_chain("derive", ("population", "explicit"), policy)
     from repro.ir import guards
 
     guards.register_shadow_hook(

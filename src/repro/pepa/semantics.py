@@ -277,9 +277,6 @@ class SequentialSemantics:
         self._rates = RateEnvironment(model)
         self._max_unfold = max_unfold
         self._transitions_cache: dict[ProcessTerm, tuple[LocalTransition, ...]] = {}
-        self._grouped_cache: dict[
-            ProcessTerm, dict[str, tuple[LocalTransition, ...]]
-        ] = {}
 
     @property
     def rate_environment(self) -> RateEnvironment:
@@ -342,25 +339,6 @@ class SequentialSemantics:
             "cooperation/hiding may not occur inside a sequential component "
             f"(offending subterm: {type(term).__name__})"
         )
-
-    def grouped_transitions(
-        self, term: ProcessTerm
-    ) -> dict[str, tuple[LocalTransition, ...]]:
-        """Enabled activities grouped by action type (memoized).
-
-        Group keys appear in first-enablement order and each group keeps
-        derivation order, so compositional consumers — the generalized
-        Kronecker construction assembles one rate matrix per action —
-        stay deterministic without re-sorting.
-        """
-        cached = self._grouped_cache.get(term)
-        if cached is None:
-            groups: dict[str, list[LocalTransition]] = {}
-            for tr in self.transitions(term):
-                groups.setdefault(tr.action, []).append(tr)
-            cached = {action: tuple(trs) for action, trs in groups.items()}
-            self._grouped_cache[term] = cached
-        return cached
 
     def apparent_rate(self, term: ProcessTerm, action: str) -> Rate | None:
         """Apparent rate of ``action`` in a sequential term, or ``None``

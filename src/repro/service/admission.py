@@ -129,12 +129,20 @@ class AdmissionController:
 
     # -- admission ----------------------------------------------------------
 
-    def admit(self, job_id: str, *, tenant: str = "default", priority: int = 5):
+    def admit(self, job_id: str, *, tenant: str = "default", priority: int = 5,
+              on_admit=None):
         """Admit or refuse one submission.
 
         Raises :class:`~repro.errors.JobRejectedError` with the HTTP
         status the server should answer (429 backpressure / rate limit,
         503 shed) — admission never queues a refusal.
+
+        ``on_admit()`` runs once the submission has passed every check
+        and before its id becomes takeable, under the queue lock (which
+        is re-entrant): the server records the job there, so a worker
+        can never take an id whose record does not exist yet, and a
+        refusal never records anything.  If it raises, nothing is
+        queued.
         """
         reg = get_registry()
         with self._cv:
@@ -173,6 +181,8 @@ class AdmissionController:
                     status=503,
                     retry_after=self.retry_after,
                 )
+            if on_admit is not None:
+                on_admit()
             heapq.heappush(
                 self._heap,
                 (priority, self._queued_by_tenant[tenant], next(self._seq),

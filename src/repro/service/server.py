@@ -204,15 +204,18 @@ class JobService:
                 return 202, {"job_id": job_id, "status": existing.status,
                              "deduped": True}, {}
             try:
-                self.admission.admit(job_id, tenant=tenant, priority=priority)
+                self.admission.admit(
+                    job_id, tenant=tenant, priority=priority,
+                    on_admit=lambda: self.store.submit(
+                        spec, tenant=tenant, priority=priority,
+                        deadline_seconds=deadline,
+                    ),
+                )
             except JobRejectedError as exc:
                 headers = {}
                 if exc.retry_after is not None:
                     headers["Retry-After"] = f"{exc.retry_after:g}"
                 return exc.status, {"error": str(exc), "job_id": job_id}, headers
-            self.store.submit(
-                spec, tenant=tenant, priority=priority, deadline_seconds=deadline
-            )
         return 202, {"job_id": job_id, "status": "queued"}, {}
 
     def status(self, job_id: str) -> tuple[int, dict, dict]:

@@ -46,9 +46,7 @@ class TestDiscovery:
         # import; whether it shows up here depends on what this process
         # imported before, so only pin its content when present.
         if "derive" in listing:
-            assert listing["derive"] == (
-                "auto", "explicit", "kronecker", "naive", "population",
-            )
+            assert listing["derive"] == ("auto", "explicit", "population")
 
     def test_single_capability_listing(self):
         assert available_backends("ode") == {"ode": ("rk4", "scipy")}

@@ -1,5 +1,6 @@
 """Derivation fast path: memoized BFS vs naive reference, CSR assembly,
-generalized-Kronecker backend, and the CTMC-assembly bugfix regressions."""
+the derive registry's ``auto`` selection, and the CTMC-assembly bugfix
+regressions."""
 
 import os
 import subprocess
@@ -13,7 +14,6 @@ from repro.pepa import (
     ctmc_of,
     derive,
     derive_reference,
-    kronecker_markov_ir,
     parse_model,
 )
 from repro.pepa.models import MODEL_NAMES, get_model
@@ -86,23 +86,47 @@ class TestFastPathEqualsReference:
         assert path_fast.jump_actions == path_ref.jump_actions
 
 
-class TestKroneckerAgreement:
-    """Generalized-Kronecker generator equals the explicit one up to the
-    reachability restriction, on every bundled model."""
+class TestAutoOrdering:
+    """``auto`` returns exactly what the backend it selects returns: same
+    state order, transition table and labels (or orbits), so choosing
+    ``auto`` never relabels states."""
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_bundled_model(self, name):
-        model = get_model(name)
-        ir = ctmc_of(derive(model)).lower()
-        kir = kronecker_markov_ir(model)
-        assert kir.n_states == ir.n_states
-        assert set(kir.labels) == set(ir.labels)
-        perm = [kir.labels.index(lbl) for lbl in ir.labels]
-        np.testing.assert_allclose(
-            kir.generator.toarray()[np.ix_(perm, perm)],
-            ir.generator.toarray(),
-            atol=1e-12,
+    @pytest.mark.parametrize(
+        "name", list(MODEL_NAMES) + ["table1_machine"]
+    )
+    def test_matches_selected(self, name):
+        from repro.engine import cache_disabled
+        from repro.ir import solve
+        from repro.pepa.derivation import select_derive_backend
+
+        model = (
+            table1_machine_model() if name == "table1_machine"
+            else get_model(name)
         )
+        with cache_disabled():
+            auto = solve(model, "derive", backend="auto")
+            chosen = solve(
+                model, "derive", backend=select_derive_backend(model)
+            )
+        for a, b in (
+            (auto.generator.indptr, chosen.generator.indptr),
+            (auto.generator.indices, chosen.generator.indices),
+            (auto.generator.data, chosen.generator.data),
+        ):
+            np.testing.assert_array_equal(a, b)
+        assert auto.labels == chosen.labels
+        if chosen.orbits is not None:
+            for field in ("orbit_sizes", "counts", "column_group",
+                          "group_totals"):
+                np.testing.assert_array_equal(
+                    getattr(auto.orbits, field), getattr(chosen.orbits, field)
+                )
+            assert auto.orbits.column_labels == chosen.orbits.column_labels
+        else:
+            assert auto.orbits is None
+            np.testing.assert_array_equal(
+                auto.trans_source, chosen.trans_source
+            )
 
 
 class TestDeriveRegistry:
@@ -110,9 +134,14 @@ class TestDeriveRegistry:
         from repro.ir import available_backends, default_backend
 
         assert set(available_backends()["derive"]) == {
-            "auto", "explicit", "kronecker", "naive", "population",
+            "auto", "explicit", "population",
         }
         assert default_backend("derive") == "explicit"
+
+    def test_fallback_chain(self):
+        from repro.ir.registry import fallback_chain
+
+        assert fallback_chain("derive") == ("population", "explicit")
 
     def test_solve_derive_explicit_matches_lowering(self):
         from repro.ir import solve
@@ -127,33 +156,29 @@ class TestDeriveRegistry:
     def test_auto_selects_population_for_replicated_models(self):
         from repro.pepa.derivation import select_derive_backend
 
-        # Replicated symmetry wins over the product-bound heuristic: the
-        # quotient space is never larger than the explicit one, so the
-        # selector ignores the budget and lets the fallback chain handle
+        # Replicated symmetry alone decides: the quotient space is never
+        # larger than the explicit one, and the fallback chain handles
         # genuine overruns.
         assert select_derive_backend(get_model("pc_lan_4")) == "population"
-        assert select_derive_backend(pc_lan(8), max_states=10) == "population"
+        assert select_derive_backend(pc_lan(8)) == "population"
 
-    def test_auto_selects_kronecker_without_symmetry(self):
+    def test_auto_selects_explicit_without_symmetry(self):
         from repro.pepa.derivation import select_derive_backend
 
         model = parse_model(
             "A = (x, 1.0).A1; A1 = (y, 1.0).A; "
             "B = (x, 2.0).B1; B1 = (y, 2.0).B; A <x> B"
         )
-        assert select_derive_backend(model) == "kronecker"
-        # A tiny budget forces the explicit reachable-only walk.
-        assert select_derive_backend(model, max_states=2) == "explicit"
+        assert select_derive_backend(model) == "explicit"
 
-    def test_fallback_kronecker_to_explicit(self):
+    def test_removed_backends_are_refused(self):
+        from repro.errors import BackendError
         from repro.ir import solve
 
-        # Lock-step pair: 4 product states but only 2 reachable ones.
-        model = parse_model(
-            "P = (a, 1.0).Q; Q = (b, 2.0).P; P <a, b> P"
-        )
-        ir = solve(model, "derive", backend="kronecker", max_states=3)
-        assert ir.n_states == 2
+        model = get_model("mm2_queue")
+        for name in ("kronecker", "compositional", "naive", "reference"):
+            with pytest.raises(BackendError, match="no 'derive' backend"):
+                solve(model, "derive", backend=name)
 
 
 class TestLimitError:

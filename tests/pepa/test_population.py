@@ -225,18 +225,28 @@ class TestRegistry:
             "A = (x, 1.0).A1; A1 = (y, 1.0).A; "
             "B = (x, 2.0).B1; B1 = (y, 2.0).B; A || B"
         )
-        assert select_derive_backend(model, max_states=2) == "explicit"
+        assert select_derive_backend(model) == "explicit"
 
-    def test_kronecker_falls_back_to_population(self):
+    def test_population_falls_back_to_explicit(self):
+        from repro.engine import cache_disabled
+        from repro.engine.faults import FaultSpec, inject
+        from repro.engine.metrics import get_registry
         from repro.ir import solve
 
-        # Product space 2^8 * 1 = 256 onto a 300-state budget is fine
-        # for kronecker, so shrink the budget below it: the chain
-        # kronecker -> population -> explicit must land on population
-        # (9 states), not explicit (256 states, over this budget too).
-        ir = solve(pc_lan(8), "derive", backend="kronecker", max_states=100)
-        assert ir.n_states == 9
-        assert ir.orbits is not None
+        # A recoverable population failure (here an injected sentinel
+        # violation) walks the chain population -> explicit.
+        reg = get_registry()
+        before = reg.counter("ir.fallback.derive.population->explicit")
+        with cache_disabled(), inject(
+            FaultSpec("sentinel_violation", backend="population")
+        ):
+            ir = solve(pc_lan(8), "derive", backend="population")
+        assert ir.n_states == 256
+        assert ir.orbits is None
+        assert (
+            reg.counter("ir.fallback.derive.population->explicit")
+            == before + 1
+        )
 
     def test_population_over_budget_propagates(self):
         from repro.ir import solve

@@ -270,3 +270,77 @@ class TestFreshProcessVerification:
         path = result.meta["manifest"].save(tmp_path / "xtransport.json")
         for name in ("inline", "subprocess"):
             _verify_in_fresh_process(path, {"REPRO_TRANSPORT": name})
+
+
+class TestDeriveBackendRecorded:
+    """``auto`` is resolved once, where the model descriptor is built: a
+    manifest names the derive backend that ran, so its replay does not
+    depend on the selector."""
+
+    @pytest.mark.parametrize(
+        "name,expected", [("mm2_queue", "explicit"), ("pc_lan_4", "population")]
+    )
+    def test_auto_solve_records_resolved_backend(self, tmp_path, name, expected):
+        result = run_from_source(
+            "pepa", get_source(name), "steady", derive_backend="auto"
+        )
+        manifest = result.meta["manifest"]
+        assert manifest.model["derive_backend"] == expected
+        path = manifest.save(tmp_path / f"{name}.json")
+        _verify_in_fresh_process(path)
+
+    def test_auto_parses_and_selects_once(self, monkeypatch):
+        import repro.pepa
+        from repro.engine import cache_disabled
+        from repro.pepa import derivation
+
+        calls = {"parse": 0, "select": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            repro.pepa, "parse_model", counted("parse", repro.pepa.parse_model)
+        )
+        monkeypatch.setattr(
+            derivation, "select_derive_backend",
+            counted("select", derivation.select_derive_backend),
+        )
+        with cache_disabled():
+            run_from_source(
+                "pepa", get_source("pc_lan_4"), "steady", derive_backend="auto"
+            )
+        assert calls == {"parse": 1, "select": 1}
+
+    def test_cli_solve_records_resolved_backend(self, tmp_path, capsys):
+        from repro.cli import main
+
+        model = tmp_path / "mm2.pepa"
+        model.write_text(get_source("mm2_queue"))
+        path = tmp_path / "run.json"
+        assert main(["solve", str(model), "--derive", "auto",
+                     "--emit-manifest", str(path)]) == 0
+        capsys.readouterr()
+        assert json.loads(path.read_text())["model"]["derive_backend"] == "explicit"
+        assert replay(path, verify=True).verified
+
+    def test_replay_of_removed_backend_fails_in_one_line(self, tmp_path):
+        result = run_from_source("pepa", get_source("mm2_queue"), "steady")
+        data = json.loads(result.meta["manifest"].to_json())
+        data["model"]["derive_backend"] = "kronecker"
+        path = tmp_path / "kronecker.json"
+        path.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=_SRC_ROOT)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "replay", str(path), "--verify"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines() == [
+            "error: no 'derive' backend named 'kronecker'; available: "
+            "['auto', 'explicit', 'population']"
+        ]
