@@ -24,7 +24,7 @@ Subcommands mirror the workflow of the paper::
 
     repro solve model.pepa --emit-manifest run.json # record the run
     repro replay run.json --verify                  # re-execute bit-for-bit
-    repro solve model.pepa --workers 4 --transport subprocess
+    repro solve model.pepa --workers 4 --transport remote
 
     repro serve --dir state/ --port 8765            # async job service
     repro submit model.pepa --wait                  # solve via the service
@@ -801,6 +801,27 @@ def _profile_command(args: argparse.Namespace) -> int:
     return 0
 
 
+class _TransportNames:
+    """The ``--transport`` choices: :func:`available_transports`, looked
+    up only when a value is checked or help is printed, so commands that
+    never touch the engine do not pay for importing it (~0.2 s)."""
+
+    def __contains__(self, name) -> bool:
+        return name in tuple(self)
+
+    def __iter__(self):
+        from repro.engine.transport import available_transports
+
+        return iter(available_transports())
+
+
+def _add_transport_argument(p: argparse.ArgumentParser, help: str) -> None:
+    action = p.add_argument("--transport", default=None, help=help)
+    # Set after add_argument: its metavar check iterates the choices,
+    # which would import the engine while building the parser.
+    action.choices = _TransportNames()
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -971,11 +992,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-timeout", type=float, default=None,
                    help="per-task deadline in seconds "
                    "(default $REPRO_TASK_TIMEOUT, else none)")
-    p.add_argument(
-        "--transport",
-        choices=("inline", "pool", "subprocess", "remote"),
-        default=None,
-        help="execution transport for fanned-out work "
+    _add_transport_argument(
+        p, "execution transport for fanned-out work "
         "(default $REPRO_TRANSPORT, else auto by worker count)",
     )
     p.add_argument(
@@ -1000,11 +1018,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="replay under engine.parallel(workers=N)")
-    p.add_argument(
-        "--transport",
-        choices=("inline", "pool", "subprocess", "remote"),
-        default=None,
-        help="execution transport for the replay (bit-identity is "
+    _add_transport_argument(
+        p, "execution transport for the replay (bit-identity is "
         "transport-invariant)",
     )
     p.set_defaults(func=_replay_command)
@@ -1035,11 +1050,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="default per-job deadline in seconds")
     p.add_argument("--drain-timeout", type=float, default=None,
                    help="seconds SIGTERM waits before suspending in-flight jobs")
-    p.add_argument(
-        "--transport",
-        choices=("inline", "pool", "subprocess", "remote"),
-        default=None,
-        help="engine transport jobs execute on; 'remote' also starts "
+    _add_transport_argument(
+        p, "engine transport jobs execute on; 'remote' also starts "
         "the fleet coordinator for 'repro worker' processes "
         "(default $REPRO_SERVE_TRANSPORT)",
     )

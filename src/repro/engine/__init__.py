@@ -4,11 +4,10 @@ Four orthogonal facilities every analysis layer builds on:
 
 ``executor`` / ``transport``
     Ordered fan-out of independent work units over a pluggable transport
-    (inline, supervised process pool, fresh worker subprocesses, or the
-    lease-based remote worker fleet in :mod:`repro.engine.remote`) with
-    deterministic per-task seeding — results are bit-identical across
-    worker counts *and* transports (see the executor docstring for the
-    contract).  ``remote`` is imported lazily on first use; reach it via
+    (inline, supervised process pool, or the lease-based remote worker
+    fleet in :mod:`repro.engine.remote`) with deterministic per-task
+    seeding — results are bit-identical across worker counts *and*
+    transports (see the executor docstring for the contract).  ``remote`` is imported lazily on first use; reach it via
     ``get_transport("remote")`` or ``$REPRO_TRANSPORT=remote``.
 ``run_manifest`` / ``environment``
     Self-contained reproducibility manifests assembled around every
@@ -79,7 +78,6 @@ from repro.engine.resilience import (
 from repro.engine.transport import (
     InlineTransport,
     ProcessPoolTransport,
-    SubprocessWorkerTransport,
     Transport,
     available_transports,
     get_transport,
@@ -122,7 +120,6 @@ __all__ = [
     "Transport",
     "InlineTransport",
     "ProcessPoolTransport",
-    "SubprocessWorkerTransport",
     "available_transports",
     "get_transport",
     "resolve_transport",

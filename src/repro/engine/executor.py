@@ -5,7 +5,7 @@ ensemble realizations, per-machine finishing-time CDFs, and parameter
 sweep points.  All of them route through :func:`run_tasks`, which runs
 sequentially by default and fans out over a selected transport
 (:mod:`repro.engine.transport`: in-process, supervised process pool, or
-fresh worker subprocesses) inside a :func:`parallel` context::
+the remote worker fleet) inside a :func:`parallel` context::
 
     from repro import engine
 
@@ -68,7 +68,7 @@ class EngineConfig:
     defaults (``REPRO_TASK_TIMEOUT`` / ``REPRO_MAX_RETRIES``) for the
     supervised parallel path; ``None`` defers to the environment.
     ``transport`` pins a transport by name (``inline`` / ``pool`` /
-    ``subprocess``); ``None`` defers to ``$REPRO_TRANSPORT``, then to
+    ``remote``); ``None`` defers to ``$REPRO_TRANSPORT``, then to
     automatic selection (inline when sequential, pool otherwise).
     """
 

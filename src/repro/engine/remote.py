@@ -2,10 +2,10 @@
 
 This is the remote end of the transport seam
 (:mod:`repro.engine.transport`): a stdlib-only coordinator + worker
-pair that ships the *same* content-addressed task units the subprocess
-transport pipes to children — ``seal_payload(pickle((fn, index,
-task)))`` in, a sealed ``("ok", value)`` / ``("err", exc)`` frame out —
-over HTTP to long-lived worker processes, possibly on other hosts.
+pair that ships content-addressed task units — ``seal_payload(pickle((fn,
+index, task)))`` in, a sealed ``("ok", value)`` / ``("err", exc)``
+frame out (:func:`_execute_unit`) — over HTTP (:mod:`repro.engine.wire`)
+to long-lived worker processes, possibly on other hosts.
 
 The determinism contract is untouched: seeds are spawned per task
 before submission and results are reduced in task order (see
@@ -70,9 +70,7 @@ import argparse
 import atexit
 import base64
 import hashlib
-import hmac
 import itertools
-import json
 import os
 import pickle
 import socket
@@ -80,19 +78,23 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 
 from repro.engine import faults
 from repro.engine.cache import seal_payload, unseal_payload
 from repro.engine.cancellation import current_scope
 from repro.engine.environment import environment_fingerprint
 from repro.engine.metrics import get_registry
-from repro.engine.resilience import ResiliencePolicy, _invoke, resolve_policy
-from repro.engine.transport import PendingBatch, Transport
+from repro.engine.resilience import (
+    ResiliencePolicy,
+    _invoke,
+    env_number,
+    resolve_policy,
+)
+from repro.engine.transport import Transport
+from repro.engine.wire import BadRequest, JsonHandler, check_token, request_json, start_http
 from repro.errors import JobCancelledError, TransportError, WorkerRejectedError
 
 __all__ = [
@@ -109,16 +111,6 @@ __all__ = [
 
 #: Parent-side collect loop tick (lease expiry / cancellation latency).
 _TICK_SECONDS = 0.05
-
-
-def _env_number(name: str, default, convert):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return convert(raw)
-    except ValueError:
-        return default
 
 
 @dataclass(frozen=True)
@@ -155,31 +147,16 @@ class FleetConfig:
             "token": os.environ.get("REPRO_REMOTE_TOKEN")
             or os.environ.get("REPRO_SERVE_TOKEN")
             or None,
-            "lease_seconds": _env_number("REPRO_REMOTE_LEASE", 15.0, float),
-            "heartbeat_seconds": _env_number("REPRO_REMOTE_HEARTBEAT", None, float),
-            "connect_wait": _env_number("REPRO_REMOTE_CONNECT_WAIT", 10.0, float),
-            "max_redispatch": _env_number("REPRO_REMOTE_MAX_REDISPATCH", 5, int),
-            "breaker_failures": _env_number("REPRO_REMOTE_BREAKER_FAILURES", 3, int),
-            "breaker_backoff": _env_number("REPRO_REMOTE_BREAKER_BACKOFF", 0.5, float),
-            "spawn": _env_number("REPRO_REMOTE_SPAWN", 0, int),
+            "lease_seconds": env_number("REPRO_REMOTE_LEASE", 15.0, float),
+            "heartbeat_seconds": env_number("REPRO_REMOTE_HEARTBEAT", None, float),
+            "connect_wait": env_number("REPRO_REMOTE_CONNECT_WAIT", 10.0, float),
+            "max_redispatch": env_number("REPRO_REMOTE_MAX_REDISPATCH", 5, int),
+            "breaker_failures": env_number("REPRO_REMOTE_BREAKER_FAILURES", 3, int),
+            "breaker_backoff": env_number("REPRO_REMOTE_BREAKER_BACKOFF", 0.5, float),
+            "spawn": env_number("REPRO_REMOTE_SPAWN", 0, int),
         }
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
-
-
-def _check_token(expected: str | None, presented: str | None) -> bool:
-    if not expected:
-        return True
-    if presented is None:
-        return False
-    return hmac.compare_digest(expected.encode("utf-8"), presented.encode("utf-8"))
-
-
-def _bearer(headers) -> str | None:
-    auth = headers.get("Authorization") or ""
-    if auth.startswith("Bearer "):
-        return auth[len("Bearer "):]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +303,7 @@ class FleetCoordinator:
     def register(self, worker_id: str, fingerprint, token: str | None):
         """Admit (or refuse) a worker; returns ``(http_status, body)``."""
         reg = get_registry()
-        if not _check_token(self.config.token, token):
+        if not check_token(self.config.token, token):
             reg.increment("engine.remote_auth_rejected")
             return 403, {"error": "bad or missing fleet token"}
         if not isinstance(fingerprint, dict) or fingerprint != self.fingerprint:
@@ -633,7 +610,7 @@ class FleetCoordinator:
             return sorted(remaining)
 
     def finish_batch(self, batch: _Batch) -> None:
-        """Drop a batch's units from the tables (collect() is done)."""
+        """Drop a batch's units from the tables (the batch has returned)."""
         with self._lock:
             for unit in batch.units:
                 self._units.pop(unit.unit_id, None)
@@ -647,88 +624,57 @@ class FleetCoordinator:
 # ---------------------------------------------------------------------------
 
 
-class _FleetHandler(BaseHTTPRequestHandler):
-    """JSON shim over :class:`FleetCoordinator` — no logic of its own."""
+class _FleetHandler(JsonHandler):
+    """Route table over :class:`FleetCoordinator` — no logic of its own.
+
+    Registration carries the token itself: :meth:`FleetCoordinator.register`
+    checks it so a refusal is a counted 403
+    (``engine.remote_auth_rejected``), not a transport 401.  Every
+    other route checks the bearer token before reading the body.
+    """
 
     server_version = "repro-fleet/1"
-    protocol_version = "HTTP/1.1"
+    open_routes = frozenset({("POST", "/v1/fleet/register")})
 
     @property
     def coordinator(self) -> FleetCoordinator:
         return self.server.coordinator  # type: ignore[attr-defined]
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if os.environ.get("REPRO_SERVE_LOG"):
-            sys.stderr.write(
-                "%s - %s\n" % (self.address_string(), format % args)
-            )
+    def token(self) -> str | None:
+        return self.coordinator.config.token
 
-    def _reply(self, status: int, body: dict) -> None:
-        blob = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        self.wfile.write(blob)
+    def _body(self) -> dict:
+        body = self.read_json()
+        if not isinstance(body, dict):
+            raise BadRequest("request body must be a JSON object")
+        return body
 
-    def _read_body(self) -> dict | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+    def _worker(self) -> str:
+        return str(self._body().get("worker", ""))
+
+    def _register(self):
+        body = self._body()
+        return self.coordinator.register(
+            str(body.get("worker", "")), body.get("fingerprint"), self.bearer()
+        )
+
+    def _deliver(self):
+        body = self._body()
         try:
-            body = json.loads(raw) if raw else None
-        except ValueError:
-            return None
-        return body if isinstance(body, dict) else None
+            frame = base64.b64decode(body.get("frame", ""))
+        except (ValueError, TypeError):
+            raise BadRequest("frame must be base64") from None
+        return self.coordinator.deliver(
+            str(body.get("worker", "")), str(body.get("unit", "")), frame
+        )
 
-    def _authorized(self) -> bool:
-        return _check_token(self.coordinator.config.token, _bearer(self.headers))
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        body = self._read_body()
-        if body is None:
-            self._reply(400, {"error": "request body must be a JSON object"})
-            return
-        path = self.path.rstrip("/")
-        if path == "/v1/fleet/register":
-            # Registration carries the token itself through the header;
-            # _check_token runs inside register() so the refusal is
-            # counted as an auth rejection, not a transport 401.
-            status, answer = self.coordinator.register(
-                str(body.get("worker", "")),
-                body.get("fingerprint"),
-                _bearer(self.headers),
-            )
-            self._reply(status, answer)
-            return
-        if not self._authorized():
-            self._reply(401, {"error": "unauthorized"})
-            return
-        worker_id = str(body.get("worker", ""))
-        if path == "/v1/fleet/lease":
-            status, answer = self.coordinator.grant(worker_id)
-        elif path == "/v1/fleet/heartbeat":
-            status, answer = self.coordinator.heartbeat(worker_id)
-        elif path == "/v1/fleet/result":
-            try:
-                frame = base64.b64decode(body.get("frame", ""))
-            except (ValueError, TypeError):
-                self._reply(400, {"error": "frame must be base64"})
-                return
-            status, answer = self.coordinator.deliver(
-                worker_id, str(body.get("unit", "")), frame
-            )
-        else:
-            status, answer = 404, {"error": f"no route POST {self.path}"}
-        self._reply(status, answer)
-
-    def do_GET(self) -> None:  # noqa: N802
-        if self.path.rstrip("/") == "/v1/fleet/status":
-            if not self._authorized():
-                self._reply(401, {"error": "unauthorized"})
-                return
-            self._reply(200, self.coordinator.status_snapshot())
-            return
-        self._reply(404, {"error": f"no route GET {self.path}"})
+    routes = {
+        ("POST", "/v1/fleet/register"): _register,
+        ("POST", "/v1/fleet/lease"): lambda h: h.coordinator.grant(h._worker()),
+        ("POST", "/v1/fleet/heartbeat"): lambda h: h.coordinator.heartbeat(h._worker()),
+        ("POST", "/v1/fleet/result"): _deliver,
+        ("GET", "/v1/fleet/status"): lambda h: (200, h.coordinator.status_snapshot()),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -767,16 +713,9 @@ def start_coordinator(
                 f"malformed fleet bind address {cfg.bind!r}; expected host:port"
             ) from None
         coordinator = FleetCoordinator(cfg)
-        httpd = ThreadingHTTPServer((host or "127.0.0.1", port), _FleetHandler)
-        httpd.daemon_threads = True
-        httpd.coordinator = coordinator  # type: ignore[attr-defined]
-        thread = threading.Thread(
-            target=httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="repro-fleet-coordinator",
-            daemon=True,
+        httpd = start_http(
+            host or "127.0.0.1", port, _FleetHandler, coordinator=coordinator
         )
-        thread.start()
         _COORDINATOR = coordinator
         _HTTPD = httpd
         _URL = f"http://{host or '127.0.0.1'}:{httpd.server_address[1]}"
@@ -818,6 +757,8 @@ def shutdown_fleet() -> None:
 
 def _worker_env() -> dict[str, str]:
     env = dict(os.environ)
+    # A spawned worker must import repro from a cold start; the parent's
+    # sys.path is authoritative regardless of install layout.
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     return env
 
@@ -861,29 +802,21 @@ class RemoteWorkerTransport(Transport):
 
     name = "remote"
     isolates_tasks = True
-    supports_fault_injection = True
-    fresh_process_per_task = False
 
-    def submit_chunks(self, fn, tasks, *, workers=1, policy=None, on_result=None):
+    def run(self, fn, tasks, *, workers=1, policy=None, on_result=None):
         tasks = list(tasks)
+        if not tasks:
+            return []
         if policy is None:
             policy = resolve_policy()
         scope = current_scope()
-
-        def _run() -> list:
-            if not tasks:
-                return []
-            coordinator, url = start_coordinator()
-            _maintain_spawned(url, coordinator.config)
-            batch = coordinator.submit_batch(
-                fn, tasks, policy, on_result, scope, workers
-            )
-            try:
-                return self._collect(coordinator, batch, scope)
-            finally:
-                coordinator.finish_batch(batch)
-
-        return PendingBatch(self.name, len(tasks), _run)
+        coordinator, url = start_coordinator()
+        _maintain_spawned(url, coordinator.config)
+        batch = coordinator.submit_batch(fn, tasks, policy, on_result, scope, workers)
+        try:
+            return self._collect(coordinator, batch, scope)
+        finally:
+            coordinator.finish_batch(batch)
 
     def _collect(self, coordinator: FleetCoordinator, batch: _Batch, scope) -> list:
         reg = get_registry()
@@ -942,7 +875,11 @@ class RemoteWorkerTransport(Transport):
 
 
 class _CoordinatorClient:
-    """Worker-side HTTP plumbing (urllib, token header, JSON bodies)."""
+    """Worker-side calls to the coordinator (token header, JSON bodies).
+
+    Connection failures raise :class:`OSError` (urllib's ``URLError``
+    is one); HTTP error answers come back as ``(status, body)``.
+    """
 
     def __init__(self, base_url: str, token: str | None, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
@@ -950,22 +887,10 @@ class _CoordinatorClient:
         self.timeout = timeout
 
     def post(self, path: str, body: dict) -> tuple[int, dict]:
-        data = json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=data, method="POST", headers=headers
+        status, answer, _ = request_json(
+            "POST", f"{self.base_url}{path}", body, self.token, self.timeout
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.status, json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except ValueError:
-                payload = {}
-            return exc.code, payload
+        return status, answer
 
 
 class _WorkerState:
@@ -987,16 +912,16 @@ def _heartbeat_loop(
             continue
         try:
             client.post("/v1/fleet/heartbeat", {"worker": worker_id})
-        except (urllib.error.URLError, ConnectionError, OSError):
+        except OSError:
             pass  # the lease loop owns giving up; a beat is best-effort
 
 
 def _execute_unit(payload: bytes, state: _WorkerState | None = None) -> tuple[bytes, int]:
     """Run one unsealed unit; returns ``(sealed frame, index)``.
 
-    Mirrors :mod:`repro.engine.worker` frame-for-frame: the reply is a
-    sealed pickle of ``("ok", value)`` / ``("err", exc)`` /
-    ``("err_str", traceback)`` / ``("unpicklable", message)``, and the
+    The one producer of the result frame :meth:`FleetCoordinator.pump`
+    consumes: a sealed pickle of ``("ok", value)`` / ``("err", exc)`` /
+    ``("err_str", traceback)`` / ``("unpicklable", message)``.  The
     task runs through the fault-injection shim so ``worker_crash``,
     ``task_timeout`` and ``task_error`` plans reach this transport
     unchanged.
@@ -1086,7 +1011,7 @@ def run_worker(
     while interval is None:
         try:
             interval = register()
-        except (urllib.error.URLError, ConnectionError, OSError):
+        except OSError:
             if time.monotonic() >= deadline:
                 print(
                     f"worker {worker_id}: coordinator {coordinator} unreachable "
@@ -1117,7 +1042,7 @@ def run_worker(
                 continue
             try:
                 status, answer = client.post("/v1/fleet/lease", {"worker": worker_id})
-            except (urllib.error.URLError, ConnectionError, OSError):
+            except OSError:
                 if time.monotonic() - last_contact >= grace:
                     print(
                         f"worker {worker_id}: lost the coordinator for "
@@ -1135,7 +1060,7 @@ def run_worker(
                 except WorkerRejectedError as exc:
                     print(f"worker {worker_id}: {exc}", file=sys.stderr)
                     return 2
-                except (urllib.error.URLError, ConnectionError, OSError):
+                except OSError:
                     pass
                 continue
             unit = (answer or {}).get("unit")
@@ -1176,7 +1101,7 @@ def run_worker(
                         },
                     )
                     break
-                except (urllib.error.URLError, ConnectionError, OSError):
+                except OSError:
                     # Undeliverable results are the coordinator's
                     # problem: the lease expires and the unit re-runs.
                     time.sleep(min(0.2 * (attempt + 1), 1.0))

@@ -51,6 +51,7 @@ from repro.errors import TaskTimeoutError
 __all__ = [
     "ResiliencePolicy",
     "resolve_policy",
+    "env_number",
     "supervised_map",
     "CheckpointStore",
     "configure_checkpoints",
@@ -92,7 +93,9 @@ class ResiliencePolicy:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
-def _env_number(name: str, default, convert):
+def env_number(name: str, default, convert):
+    """``convert($name)``; unset or empty gives ``default``, and a
+    malformed value warns (:class:`RuntimeWarning`) and gives ``default``."""
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return default
@@ -113,14 +116,14 @@ def resolve_policy(
 ) -> ResiliencePolicy:
     """Build the effective policy from arguments, environment, defaults."""
     if task_timeout is None:
-        task_timeout = _env_number("REPRO_TASK_TIMEOUT", None, float)
+        task_timeout = env_number("REPRO_TASK_TIMEOUT", None, float)
         if task_timeout is not None and task_timeout <= 0:
             task_timeout = None
     if max_retries is None:
-        max_retries = _env_number("REPRO_MAX_RETRIES", 2, int)
+        max_retries = env_number("REPRO_MAX_RETRIES", 2, int)
         if max_retries < 0:
             max_retries = 0
-    backoff = _env_number("REPRO_RETRY_BACKOFF", 0.05, float)
+    backoff = env_number("REPRO_RETRY_BACKOFF", 0.05, float)
     return ResiliencePolicy(
         task_timeout=task_timeout,
         max_retries=max_retries,

@@ -4,12 +4,12 @@ The determinism contract lives one layer up — chunk boundaries and
 per-task seeds are a function of the task list alone (see
 :mod:`repro.engine.executor`) — so the engine is free to ship the same
 task units anywhere.  A :class:`Transport` is exactly that freedom made
-explicit: :meth:`~Transport.submit_chunks` hands it an ordered batch,
-:meth:`~PendingBatch.collect` returns results in task order, and
-*bit-identity is transport-invariant* because nothing about seeding,
-chunking or reduction order is the transport's business.
+explicit: :meth:`~Transport.run` takes an ordered batch and returns
+results in task order, and *bit-identity is transport-invariant*
+because nothing about seeding, chunking or reduction order is the
+transport's business.
 
-Four transports ship:
+Three transports ship:
 
 ``inline``
     Sequential, in the calling process.  No isolation, no fault
@@ -19,20 +19,15 @@ Four transports ship:
     ported intact: bounded in-flight submission, per-task deadlines,
     bounded retries with backoff, broken-pool rebuild, degradation to
     sequential, deterministic fault injection.
-``subprocess``
-    Each task unit ships to a *fresh* worker process
-    (:mod:`repro.engine.worker`) as an integrity-sealed pickle over a
-    pipe — the prototype for remote workers.  Per-task deadlines,
-    retries and crash recovery mirror the pool's resilience policy;
-    fault injection works unchanged because the worker runs the same
-    shim.
 ``remote``
-    Task units ship over HTTP to a registered worker fleet
-    (:mod:`repro.engine.remote`) under lease-based assignment with
-    heartbeats, failover re-dispatch, straggler digest verification and
-    per-worker circuit breakers.  Degrades to ``pool`` (and thence to
-    sequential) when no healthy worker is reachable.  Registered
-    lazily on first request to avoid a circular import.
+    Task units ship as integrity-sealed pickles over HTTP to a
+    registered worker fleet (:mod:`repro.engine.remote`) under
+    lease-based assignment with heartbeats, failover re-dispatch,
+    straggler digest verification and per-worker circuit breakers.
+    ``$REPRO_REMOTE_SPAWN=N`` starts N local workers on demand.
+    Degrades to ``pool`` (and thence to sequential) when no healthy
+    worker is reachable.  Registered lazily on first request to avoid a
+    circular import.
 
 Selection: ``run_tasks(transport=...)`` > ``parallel(transport=...)`` >
 ``$REPRO_TRANSPORT`` > automatic (inline when effectively sequential,
@@ -42,82 +37,31 @@ pool otherwise).
 from __future__ import annotations
 
 import os
-import pickle
-import subprocess
-import sys
-import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
-from repro.engine.cancellation import NULL_SCOPE, current_scope
-from repro.engine.metrics import get_registry
-from repro.engine.resilience import ResiliencePolicy, resolve_policy, supervised_map
-from repro.errors import TaskTimeoutError, TransportError
+from repro.engine.resilience import ResiliencePolicy, supervised_map
+from repro.errors import TransportError
 
 __all__ = [
     "Transport",
-    "PendingBatch",
     "InlineTransport",
     "ProcessPoolTransport",
-    "SubprocessWorkerTransport",
     "available_transports",
     "get_transport",
     "resolve_transport",
 ]
 
 
-@dataclass(frozen=True)
-class PendingBatch:
-    """A submitted batch whose results have not been collected yet.
-
-    Transports are synchronous today, so :meth:`collect` is where the
-    work actually runs; the submit/collect split is the seam a future
-    remote transport needs (submit = enqueue over the wire, collect =
-    await the result stream) without changing any caller.
-    """
-
-    transport: str
-    n_tasks: int
-    _run: Callable[[], list]
-
-    def collect(self) -> list:
-        """Execute (if not already executing) and return results in
-        task order."""
-        return self._run()
-
-
 class Transport:
     """Interface for running a batch of independent task units.
 
-    Capability flags let callers adapt without ``isinstance`` checks:
-
-    ``isolates_tasks``
-        Task units run outside the calling process (a crash cannot take
-        the parent down; payloads must pickle).
-    ``supports_fault_injection``
-        The deterministic fault harness (``$REPRO_FAULT_PLAN``) reaches
-        the task execution path on this transport.
-    ``fresh_process_per_task``
-        Every task unit sees a cold process (no warm imports, no shared
-        module state) — the property replay verification relies on.
+    ``isolates_tasks`` tells callers that task units run outside the
+    calling process (a crash cannot take the parent down; payloads
+    must pickle).
     """
 
     name: str = "abstract"
     isolates_tasks: bool = False
-    supports_fault_injection: bool = False
-    fresh_process_per_task: bool = False
-
-    def submit_chunks(
-        self,
-        fn: Callable,
-        tasks: Sequence,
-        *,
-        workers: int = 1,
-        policy: ResiliencePolicy | None = None,
-        on_result: Callable[[int, object], None] | None = None,
-    ) -> PendingBatch:
-        raise NotImplementedError
 
     def run(
         self,
@@ -128,10 +72,9 @@ class Transport:
         policy: ResiliencePolicy | None = None,
         on_result: Callable[[int, object], None] | None = None,
     ) -> list:
-        """Submit and collect in one call — what synchronous callers use."""
-        return self.submit_chunks(
-            fn, tasks, workers=workers, policy=policy, on_result=on_result
-        ).collect()
+        """Run ``fn`` over ``tasks``; results in task order.
+        ``on_result(index, value)`` sees each result as it lands."""
+        raise NotImplementedError
 
 
 class InlineTransport(Transport):
@@ -143,19 +86,14 @@ class InlineTransport(Transport):
 
     name = "inline"
 
-    def submit_chunks(self, fn, tasks, *, workers=1, policy=None, on_result=None):
-        tasks = list(tasks)
-
-        def _run() -> list:
-            results = []
-            for index, task in enumerate(tasks):
-                value = fn(task)
-                if on_result is not None:
-                    on_result(index, value)
-                results.append(value)
-            return results
-
-        return PendingBatch(self.name, len(tasks), _run)
+    def run(self, fn, tasks, *, workers=1, policy=None, on_result=None):
+        results = []
+        for index, task in enumerate(tasks):
+            value = fn(task)
+            if on_result is not None:
+                on_result(index, value)
+            results.append(value)
+        return results
 
 
 class ProcessPoolTransport(Transport):
@@ -169,221 +107,17 @@ class ProcessPoolTransport(Transport):
 
     name = "pool"
     isolates_tasks = True
-    supports_fault_injection = True
 
-    def submit_chunks(self, fn, tasks, *, workers=1, policy=None, on_result=None):
+    def run(self, fn, tasks, *, workers=1, policy=None, on_result=None):
         tasks = list(tasks)
         workers = max(1, min(workers, len(tasks) or 1))
-
-        def _run() -> list:
-            return supervised_map(
-                fn, tasks, workers=workers, policy=policy, on_result=on_result
-            )
-
-        return PendingBatch(self.name, len(tasks), _run)
-
-
-class SubprocessWorkerTransport(Transport):
-    """Ship each task unit to a fresh worker process over a pipe.
-
-    The unit on the wire is ``seal_payload(pickle((fn, index, task)))``
-    — the same self-describing, integrity-sealed shape a manifest's
-    chunk table records — and the reply is a sealed ``("ok", value)`` /
-    ``("err", exc)`` frame (see :mod:`repro.engine.worker`).  Up to
-    ``workers`` child processes run concurrently, driven by parent
-    threads.
-
-    Resilience mirrors :func:`supervised_map` per task: a deadline
-    overrun kills the child and retries (then raises
-    :class:`~repro.errors.TaskTimeoutError`); an uncontrolled child
-    death or a corrupt reply frame retries (then raises
-    :class:`~repro.errors.TransportError`); an exception raised by the
-    task retries (then re-raises the task's own exception); a result
-    that cannot pickle degrades that task to in-parent execution
-    (``engine.pickle_fallback``), exactly like the pool.
-    """
-
-    name = "subprocess"
-    isolates_tasks = True
-    supports_fault_injection = True
-    fresh_process_per_task = True
-
-    def submit_chunks(self, fn, tasks, *, workers=1, policy=None, on_result=None):
-        tasks = list(tasks)
-        workers = max(1, min(workers, len(tasks) or 1))
-        if policy is None:
-            policy = resolve_policy()
-        # Cancel scopes are thread-local; the pool threads below would
-        # see only the null scope, so capture the submitter's here.
-        scope = current_scope()
-
-        def _run() -> list:
-            if not tasks:
-                return []
-            if workers == 1:
-                return [
-                    self._run_one(fn, i, task, policy, on_result, scope)
-                    for i, task in enumerate(tasks)
-                ]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(self._run_one, fn, i, task, policy, on_result, scope)
-                    for i, task in enumerate(tasks)
-                ]
-                return [f.result() for f in futures]
-
-        return PendingBatch(self.name, len(tasks), _run)
-
-    # -- one task unit, with retries ----------------------------------------
-
-    @staticmethod
-    def _worker_env() -> dict[str, str]:
-        env = dict(os.environ)
-        # The child must be able to import repro from a cold start; the
-        # parent's sys.path is authoritative regardless of install layout.
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        return env
-
-    #: How often a cancellable wait re-checks its scope while the child runs.
-    _POLL_SECONDS = 0.1
-
-    def _run_one(self, fn, index, task, policy, on_result, scope=NULL_SCOPE):
-        from repro.engine.cache import seal_payload, unseal_payload
-
-        reg = get_registry()
-        scope.raise_if_cancelled()
-        try:
-            unit = seal_payload(
-                pickle.dumps((fn, index, task), protocol=pickle.HIGHEST_PROTOCOL)
-            )
-        except Exception:
-            # Task payload does not pickle: run it here, like the pool's
-            # per-task pickle fallback.
-            reg.increment("engine.pickle_fallback")
-            return self._record(fn(task), index, on_result)
-
-        attempts = 0
-        while True:
-            scope.raise_if_cancelled()
-            reg.increment("engine.subprocess_tasks")
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.engine.worker"],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                env=self._worker_env(),
-            )
-            try:
-                out = self._drive(proc, unit, policy, scope)
-            except subprocess.TimeoutExpired:
-                attempts += 1
-                reg.increment("engine.task_timeouts")
-                if attempts > policy.max_retries:
-                    raise TaskTimeoutError(
-                        f"task {index} exceeded its {policy.task_timeout:g}s "
-                        f"deadline on every one of {attempts} attempts"
-                    )
-                self._backoff(policy, attempts)
-                continue
-            finally:
-                self._reap(proc, reg)
-            failure: BaseException | None = None
-            if proc.returncode != 0:
-                reg.increment("engine.worker_crashes")
-                failure = TransportError(
-                    f"worker for task {index} exited with code {proc.returncode} "
-                    "before producing a result frame"
-                )
-            else:
-                payload = unseal_payload(out)
-                if payload is None:
-                    failure = TransportError(
-                        f"result frame for task {index} failed its integrity check"
-                    )
-                else:
-                    status, value = pickle.loads(payload)
-                    if status == "ok":
-                        return self._record(value, index, on_result)
-                    if status == "unpicklable":
-                        reg.increment("engine.pickle_fallback")
-                        return self._record(fn(task), index, on_result)
-                    failure = (
-                        value if status == "err" else TransportError(str(value))
-                    )
-            attempts += 1
-            if attempts > policy.max_retries:
-                raise failure
-            reg.increment("engine.retries")
-            self._backoff(policy, attempts)
-
-    def _drive(self, proc, unit, policy, scope):
-        """Pump the sealed unit through ``proc`` and return its stdout.
-
-        Waits in short slices when a live cancel scope is installed so a
-        cancellation (or deadline) interrupts the wait within
-        ``_POLL_SECONDS`` instead of after the child finishes.  Raises
-        :class:`subprocess.TimeoutExpired` on a per-task deadline
-        overrun and :class:`~repro.errors.JobCancelledError` on
-        cancellation; either way the caller's ``finally`` owns killing
-        and reaping the child.
-        """
-        deadline = (
-            None
-            if policy.task_timeout is None
-            else time.monotonic() + policy.task_timeout
+        return supervised_map(
+            fn, tasks, workers=workers, policy=policy, on_result=on_result
         )
-        payload = unit
-        while True:
-            scope.raise_if_cancelled()
-            wait = self._POLL_SECONDS if scope.active else None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise subprocess.TimeoutExpired(proc.args, policy.task_timeout)
-                wait = remaining if wait is None else min(wait, remaining)
-            try:
-                out, _ = proc.communicate(payload, timeout=wait)
-                return out
-            except subprocess.TimeoutExpired:
-                if not scope.active and deadline is None:
-                    raise  # unreachable: wait was None
-                # The unit is already on the pipe; later rounds only poll.
-                payload = None
-
-    @staticmethod
-    def _reap(proc, reg) -> None:
-        """Guarantee the child is dead *and* waited on — never a zombie.
-
-        A child that exited normally was already reaped inside
-        ``communicate``; this only pays (kill + wait, counted as
-        ``engine.worker_reaped``) when the task unit was abandoned —
-        deadline overrun, cancellation, or an error unsealing the reply.
-        """
-        if proc.returncode is not None:
-            return
-        proc.kill()
-        try:
-            proc.communicate()  # drain pipes; kill() guarantees exit
-        except (ValueError, OSError):  # pragma: no cover - interpreter quirks
-            proc.wait()
-        reg.increment("engine.worker_reaped")
-
-    @staticmethod
-    def _record(value, index, on_result):
-        if on_result is not None:
-            on_result(index, value)
-        return value
-
-    @staticmethod
-    def _backoff(policy: ResiliencePolicy, attempt: int) -> None:
-        if policy.backoff_base > 0:
-            time.sleep(
-                min(policy.backoff_cap, policy.backoff_base * 2 ** max(0, attempt - 1))
-            )
 
 
 _TRANSPORTS: dict[str, Transport] = {
-    t.name: t for t in (InlineTransport(), ProcessPoolTransport(),
-                        SubprocessWorkerTransport())
+    t.name: t for t in (InlineTransport(), ProcessPoolTransport())
 }
 
 #: Transports registered on first use instead of at import time.  The

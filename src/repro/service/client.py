@@ -21,13 +21,12 @@ its response lost.  A bearer token (``token=`` or
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
 import urllib.error
-import urllib.request
 
+from repro.engine.wire import request_json
 from repro.errors import JobRejectedError, ServiceError
 from repro.service.jobs import TERMINAL_STATES, JobSpec
 
@@ -75,42 +74,28 @@ class ServiceClient:
             except ConnectionError as exc:
                 last_reason = exc
             except urllib.error.URLError as exc:
-                # HTTPError is a URLError subclass but never lands here:
-                # _request_once converts it to a typed service error.
+                # HTTP error answers never land here: request_json
+                # returns them and _request_once types them.
                 last_reason = exc.reason
         raise ServiceError(
             f"cannot reach service at {self.base_url}: {last_reason}"
         ) from None
 
     def _request_once(self, method: str, path: str, body: dict | None) -> dict:
-        data = None if body is None else json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            method=method,
-            headers=headers,
+        status, payload, headers = request_json(
+            method, f"{self.base_url}{path}", body, self.token, self.timeout
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            payload = {}
-            try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except ValueError:
-                pass
-            message = payload.get("error") or f"HTTP {exc.code}"
-            if exc.code in (429, 503):
-                retry_after = exc.headers.get("Retry-After")
-                raise JobRejectedError(
-                    message,
-                    status=exc.code,
-                    retry_after=None if retry_after is None else float(retry_after),
-                ) from None
-            raise ServiceError(f"{method} {path}: {message}") from None
+        if 200 <= status < 300:
+            return payload
+        message = payload.get("error") or f"HTTP {status}"
+        if status in (429, 503):
+            retry_after = headers.get("Retry-After")
+            raise JobRejectedError(
+                message,
+                status=status,
+                retry_after=None if retry_after is None else float(retry_after),
+            )
+        raise ServiceError(f"{method} {path}: {message}")
 
     # -- API ----------------------------------------------------------------
 

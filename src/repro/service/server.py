@@ -31,18 +31,14 @@ CLI flags override the environment.
 
 from __future__ import annotations
 
-import hmac
-import json
 import os
 import signal
-import sys
 import threading
-import warnings
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.engine.metrics import get_registry
-from repro.engine.resilience import get_checkpoint_store
+from repro.engine.resilience import env_number, get_checkpoint_store
+from repro.engine.wire import BadRequest, JsonHandler, start_http
 from repro.errors import JobRejectedError, ServiceError
 from repro.service.admission import AdmissionController
 from repro.service.jobs import TERMINAL_STATES, JobSpec
@@ -50,21 +46,6 @@ from repro.service.journal import JobStore
 from repro.service.runner import JobRunner
 
 __all__ = ["ServiceConfig", "JobService", "serve"]
-
-
-def _env_value(name: str, default, convert):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return convert(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {name}={raw!r}; using default {default!r}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default
 
 
 @dataclass(frozen=True)
@@ -98,20 +79,20 @@ class ServiceConfig:
     @classmethod
     def from_env(cls, **overrides) -> ServiceConfig:
         values = {
-            "queue_capacity": _env_value("REPRO_SERVE_QUEUE_CAPACITY", 64, int),
-            "workers": _env_value("REPRO_SERVE_WORKERS", 2, int),
-            "tenant_rate": _env_value("REPRO_SERVE_TENANT_RATE", 10.0, float),
-            "tenant_burst": _env_value("REPRO_SERVE_TENANT_BURST", 20.0, float),
-            "shed_threshold": _env_value("REPRO_SERVE_SHED_THRESHOLD", 0.85, float),
-            "shed_priority": _env_value("REPRO_SERVE_SHED_PRIORITY", 5, int),
-            "retry_after": _env_value("REPRO_SERVE_RETRY_AFTER", 2.0, float),
-            "default_deadline": _env_value("REPRO_SERVE_DEADLINE", None, float),
-            "drain_timeout": _env_value("REPRO_SERVE_DRAIN_TIMEOUT", 10.0, float),
-            "checkpoint_ttl": _env_value("REPRO_SERVE_CHECKPOINT_TTL", None, float),
+            "queue_capacity": env_number("REPRO_SERVE_QUEUE_CAPACITY", 64, int),
+            "workers": env_number("REPRO_SERVE_WORKERS", 2, int),
+            "tenant_rate": env_number("REPRO_SERVE_TENANT_RATE", 10.0, float),
+            "tenant_burst": env_number("REPRO_SERVE_TENANT_BURST", 20.0, float),
+            "shed_threshold": env_number("REPRO_SERVE_SHED_THRESHOLD", 0.85, float),
+            "shed_priority": env_number("REPRO_SERVE_SHED_PRIORITY", 5, int),
+            "retry_after": env_number("REPRO_SERVE_RETRY_AFTER", 2.0, float),
+            "default_deadline": env_number("REPRO_SERVE_DEADLINE", None, float),
+            "drain_timeout": env_number("REPRO_SERVE_DRAIN_TIMEOUT", 10.0, float),
+            "checkpoint_ttl": env_number("REPRO_SERVE_CHECKPOINT_TTL", None, float),
             "token": os.environ.get("REPRO_SERVE_TOKEN") or None,
             "transport": os.environ.get("REPRO_SERVE_TRANSPORT") or None,
             "fleet_bind": os.environ.get("REPRO_SERVE_FLEET_BIND") or None,
-            "journal_max_bytes": _env_value(
+            "journal_max_bytes": env_number(
                 "REPRO_SERVE_JOURNAL_MAX_BYTES", None, int
             ),
         }
@@ -294,108 +275,40 @@ class JobService:
         return clean
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin JSON shim over :class:`JobService` — no logic of its own."""
+class _Handler(JsonHandler):
+    """Route table over :class:`JobService` — no logic of its own.
+
+    Every ``/v1/*`` route demands the bearer token; ``healthz`` and
+    ``readyz`` stay open so orchestrators probe them without
+    credentials.
+    """
 
     server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
+    auth_counter = "service.auth_rejected"
 
     @property
     def service(self) -> JobService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if os.environ.get("REPRO_SERVE_LOG"):
-            sys.stderr.write(
-                "%s - %s\n" % (self.address_string(), format % args)
-            )
+    def token(self) -> str | None:
+        return self.service.config.token
 
-    def _reply(self, outcome: tuple[int, dict, dict]) -> None:
-        status, body, headers = outcome
-        blob = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(blob)
+    def _submit(self):
+        payload = self.read_json()
+        if payload is None:
+            raise BadRequest("request body must be JSON")
+        return self.service.submit(payload)
 
-    def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return None
-        try:
-            return json.loads(raw)
-        except ValueError:
-            return None
-
-    def _authorized(self) -> bool:
-        """Shared-secret bearer check on every ``/v1/*`` route.
-
-        ``healthz``/``readyz`` stay open — orchestrators probe them
-        without credentials.  Constant-time compare so the token cannot
-        be guessed byte-by-byte through response timing.
-        """
-        expected = self.service.config.token
-        if not expected:
-            return True
-        auth = self.headers.get("Authorization") or ""
-        if not auth.startswith("Bearer "):
-            return False
-        presented = auth[len("Bearer "):]
-        return hmac.compare_digest(
-            expected.encode("utf-8"), presented.encode("utf-8")
-        )
-
-    def _reject_unauthorized(self) -> bool:
-        if self.path.startswith("/v1/") and not self._authorized():
-            get_registry().increment("service.auth_rejected")
-            self._reply((401, {"error": "unauthorized"}, {}))
-            return True
-        return False
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        if self._reject_unauthorized():
-            return
-        if self.path == "/v1/jobs":
-            payload = self._read_body()
-            if payload is None:
-                self._reply((400, {"error": "request body must be JSON"}, {}))
-                return
-            self._reply(self.service.submit(payload))
-            return
-        self._reply((404, {"error": f"no route POST {self.path}"}, {}))
-
-    def do_GET(self) -> None:  # noqa: N802
-        if self._reject_unauthorized():
-            return
-        path = self.path.rstrip("/") or "/"
-        if path == "/healthz":
-            self._reply(self.service.healthz())
-        elif path == "/readyz":
-            self._reply(self.service.readyz())
-        elif path == "/v1/metrics":
-            self._reply(self.service.metrics())
-        elif path == "/v1/jobs":
-            self._reply(self.service.jobs())
-        elif path.startswith("/v1/jobs/") and path.endswith("/result"):
-            job_id = path[len("/v1/jobs/"):-len("/result")]
-            self._reply(self.service.result(job_id))
-        elif path.startswith("/v1/jobs/"):
-            self._reply(self.service.status(path[len("/v1/jobs/"):]))
-        else:
-            self._reply((404, {"error": f"no route GET {self.path}"}, {}))
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        if self._reject_unauthorized():
-            return
-        path = self.path.rstrip("/")
-        if path.startswith("/v1/jobs/"):
-            self._reply(self.service.cancel(path[len("/v1/jobs/"):]))
-            return
-        self._reply((404, {"error": f"no route DELETE {self.path}"}, {}))
+    routes = {
+        ("POST", "/v1/jobs"): _submit,
+        ("GET", "/healthz"): lambda h: h.service.healthz(),
+        ("GET", "/readyz"): lambda h: h.service.readyz(),
+        ("GET", "/v1/metrics"): lambda h: h.service.metrics(),
+        ("GET", "/v1/jobs"): lambda h: h.service.jobs(),
+        ("GET", "/v1/jobs/*/result"): lambda h, job_id: h.service.result(job_id),
+        ("GET", "/v1/jobs/*"): lambda h, job_id: h.service.status(job_id),
+        ("DELETE", "/v1/jobs/*"): lambda h, job_id: h.service.cancel(job_id),
+    }
 
 
 def serve(
@@ -409,9 +322,7 @@ def serve(
     """Run the service until SIGTERM/SIGINT, then drain.  Returns 0."""
     config = config or ServiceConfig.from_env()
     service = JobService(root, config=config, executor=executor)
-    httpd = ThreadingHTTPServer((host, port), _Handler)
-    httpd.daemon_threads = True
-    httpd.service = service  # type: ignore[attr-defined]
+    httpd = start_http(host, port, _Handler, service=service)
     if config.transport == "remote":
         # The fleet coordinator rides in the serving process: jobs the
         # runner executes with transport="remote" submit batches to it,
@@ -425,14 +336,10 @@ def serve(
     service.start()
 
     def _shutdown(signum, frame):
-        # shutdown() must not run on the serving thread; drain first so
-        # in-flight jobs finish while the listener keeps answering
-        # health checks, then stop the loop.
-        def _run():
-            service.drain()
-            httpd.shutdown()
-
-        threading.Thread(target=_run, name="repro-serve-drain").start()
+        # Drain off the main thread so in-flight jobs finish while the
+        # listener keeps answering health checks; the main thread stops
+        # the listener once the journal is sealed.
+        threading.Thread(target=service.drain, name="repro-serve-drain").start()
 
     if install_signal_handlers:
         signal.signal(signal.SIGTERM, _shutdown)
@@ -441,8 +348,9 @@ def serve(
     actual_port = httpd.server_address[1]
     print(f"listening on http://{host}:{actual_port}", flush=True)
     try:
-        httpd.serve_forever(poll_interval=0.1)
+        service._drained.wait()
     finally:
+        httpd.shutdown()
         httpd.server_close()
         if not service._drained.is_set():
             service.drain()

@@ -177,26 +177,19 @@ class TestCancelParallelTransports:
         finally:
             timer.cancel()
 
-    def test_subprocess_cancelled_and_workers_reaped(self):
-        reg = get_registry()
-        before = reg.counter("engine.worker_reaped")
-        scope = CancelScope()
-        timer = threading.Timer(0.5, scope.cancel)
-        timer.start()
+    def test_remote_deadline_cancels_via_scope(self, monkeypatch):
+        import repro.engine.remote as remote
+
+        # No worker will ever lease the unit, so only the scope's
+        # deadline can end the wait.
+        monkeypatch.setenv("REPRO_REMOTE_SPAWN", "0")
+        monkeypatch.setenv("REPRO_REMOTE_CONNECT_WAIT", "60")
+        scope = CancelScope(deadline_seconds=0.4)
         try:
             with cancel_scope(scope):
-                with parallel(workers=2, transport="subprocess", max_retries=0):
-                    with pytest.raises(JobCancelledError):
-                        run_tasks(time.sleep, [10.0, 10.0])
+                with parallel(workers=1, transport="remote", max_retries=0):
+                    with pytest.raises(JobCancelledError) as excinfo:
+                        run_tasks(time.sleep, [10.0])
         finally:
-            timer.cancel()
-        # Both in-flight children were killed and waited on — no zombies.
-        assert reg.counter("engine.worker_reaped") == before + 2
-
-    def test_subprocess_deadline_cancels_via_scope(self):
-        scope = CancelScope(deadline_seconds=0.4)
-        with cancel_scope(scope):
-            with parallel(workers=1, transport="subprocess", max_retries=0):
-                with pytest.raises(JobCancelledError) as excinfo:
-                    run_tasks(time.sleep, [10.0])
+            remote.shutdown_fleet()
         assert excinfo.value.reason == "deadline"

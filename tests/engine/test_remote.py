@@ -94,8 +94,14 @@ def test_remote_transport_is_registered_lazily():
     transport = get_transport("remote")
     assert transport.name == "remote"
     assert transport.isolates_tasks
-    assert transport.supports_fault_injection
     assert resolve_transport("remote", workers=4) is transport
+
+
+def test_malformed_fleet_env_warns_and_falls_back(monkeypatch):
+    monkeypatch.setenv("REPRO_REMOTE_LEASE", "abc")
+    with pytest.warns(RuntimeWarning, match="REPRO_REMOTE_LEASE"):
+        config = remote.FleetConfig.from_env()
+    assert config.lease_seconds == 15.0
 
 
 def test_new_fault_kinds_exist():

@@ -193,10 +193,17 @@ class TestManifestFlags:
     def test_solve_transport_flag(self, model_file, tmp_path, capsys):
         out = tmp_path / "run.json"
         assert main(
-            ["solve", model_file, "--workers", "2", "--transport", "subprocess",
+            ["solve", model_file, "--workers", "2", "--transport", "pool",
              "--emit-manifest", str(out)]
         ) == 0
-        assert json.loads(out.read_text())["transport"] == "subprocess"
+        assert json.loads(out.read_text())["transport"] == "pool"
+
+    def test_removed_subprocess_transport_is_a_usage_error(self, model_file,
+                                                            capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", model_file, "--transport", "subprocess"])
+        assert excinfo.value.code != 0
+        assert "invalid choice: 'subprocess'" in capsys.readouterr().err
 
     def test_replay_transport_flag(self, model_file, tmp_path, capsys):
         out = tmp_path / "run.json"

@@ -86,16 +86,22 @@ class TestManifestAssembly:
         second = run_from_source("pepa", src, "steady").meta["manifest"]
         assert first.identity_digest() == second.identity_digest()
 
-    def test_identity_digest_transport_invariant(self):
+    def test_identity_digest_transport_invariant(self, monkeypatch):
+        import repro.engine.remote as remote
+
+        monkeypatch.setenv("REPRO_REMOTE_SPAWN", "2")
         src = enzyme_kinetics_source()
         digests = []
-        for name in ("inline", "pool", "subprocess"):
-            with parallel(workers=2, transport=name):
-                result = run_from_source(
-                    "biopepa", src, "ssa",
-                    mode="ensemble", times=GRID, n_runs=60, seed=5,
-                )
-            digests.append(result.meta["manifest"].identity_digest())
+        try:
+            for name in ("inline", "pool", "remote"):
+                with parallel(workers=2, transport=name):
+                    result = run_from_source(
+                        "biopepa", src, "ssa",
+                        mode="ensemble", times=GRID, n_runs=60, seed=5,
+                    )
+                digests.append(result.meta["manifest"].identity_digest())
+        finally:
+            remote.shutdown_fleet()
         assert digests[0] == digests[1] == digests[2]
 
 
@@ -268,8 +274,23 @@ class TestFreshProcessVerification:
             mode="ensemble", times=GRID, n_runs=60, seed=31,
         )
         path = result.meta["manifest"].save(tmp_path / "xtransport.json")
-        for name in ("inline", "subprocess"):
-            _verify_in_fresh_process(path, {"REPRO_TRANSPORT": name})
+        _verify_in_fresh_process(path, {"REPRO_TRANSPORT": "inline"})
+        _verify_in_fresh_process(
+            path, {"REPRO_TRANSPORT": "remote", "REPRO_REMOTE_SPAWN": "1"}
+        )
+
+    def test_manifest_naming_a_removed_transport_still_verifies(self, tmp_path):
+        """``transport`` is observational: a manifest recorded on the
+        since-removed ``subprocess`` transport replays on today's."""
+        result = run_from_source(
+            "biopepa", enzyme_kinetics_source(), "ssa",
+            mode="ensemble", times=GRID, n_runs=30, seed=37,
+        )
+        data = json.loads(result.meta["manifest"].to_json())
+        data["transport"] = "subprocess"
+        path = tmp_path / "old-transport.json"
+        path.write_text(json.dumps(data))
+        _verify_in_fresh_process(path)
 
 
 class TestDeriveBackendRecorded:
