@@ -75,20 +75,19 @@ def test_ssa_ensemble_smoke(benchmark):
 
 
 def test_ssa_ensemble_batched_smoke(benchmark):
-    """Same ensemble through the vectorized batched kernel: the moments
-    must be bit-identical to the scalar chunked path, just faster."""
+    """The default ensemble path runs the vectorized batched kernel: the
+    moments must be bit-identical to the scalar oracle, just faster."""
     from repro.biopepa.examples import enzyme_kinetics_model
     from repro.biopepa.lower import lower_reactions
     from repro.ir import solve
+    from repro.ir.backends.ssa import ensemble_moments, reaction_run
 
     ir = lower_reactions(enzyme_kinetics_model())
     grid = np.linspace(0.0, 10.0, 11)
-    scalar = solve(ir, "ssa", backend="direct", mode="ensemble",
-                   times=grid, n_runs=60, seed=1234)
+    scalar = ensemble_moments(reaction_run, ir, grid, 60, 1234)
 
     ens = benchmark(
-        solve, ir, "ssa", backend="batched", mode="ensemble",
-        times=grid, n_runs=60, seed=1234,
+        solve, ir, "ssa", mode="ensemble", times=grid, n_runs=60, seed=1234,
     )
     assert ens.meta["kernel"] == "batched"
     np.testing.assert_array_equal(ens.mean, scalar.mean)

@@ -1,11 +1,13 @@
-"""Batched SSA ensemble kernels vs the scalar oracle — speedup gate.
+"""Default SSA ensembles vs the scalar oracle — speedup gate.
 
-Runs the same seeded ensembles through the scalar ``direct`` backend and
-the vectorized ``batched`` backend (best-of-``--repeat``, content cache
-disabled) on the bundled PEPA, Bio-PEPA and GPEPA models plus a scaled
-Table-I-sized enzyme instance, asserts the results are bit-identical,
-and writes ``BENCH_ssa.json``: per-model wall times, events/second and
-the batched/scalar speedup ratio.
+Runs the same seeded ensembles through the scalar oracle
+(``ensemble_moments`` over the per-run steppers) and the default
+``ssa`` path, which runs the vectorized batched kernel
+(best-of-``--repeat``, content cache disabled), on the bundled PEPA,
+Bio-PEPA and GPEPA models plus a scaled Table-I-sized enzyme instance,
+asserts the results are bit-identical, and writes ``BENCH_ssa.json``:
+per-model wall times, events/second and the batched/scalar speedup
+ratio.
 
 As a script it is the CI regression gate::
 
@@ -27,6 +29,8 @@ import time
 import numpy as np
 
 from repro.engine import cache_disabled
+from repro.ir import MarkovIR
+from repro.ir.backends.ssa import ensemble_moments, occupancy_run, reaction_run
 from repro.ir.registry import solve
 
 OCCUPANCY_SOURCE = """
@@ -97,16 +101,28 @@ def best_of(fn, repeat):
     return best, result
 
 
-def run_case(name, ir, grid, n_runs, repeat, seed=2019):
-    def run(backend):
-        return solve(ir, "ssa", backend=backend, mode="ensemble",
-                     times=grid, n_runs=n_runs, seed=seed)
+def scalar_oracle(ir, grid, n_runs, seed):
+    """The per-run steppers through the shared ensemble driver."""
+    if isinstance(ir, MarkovIR):
+        return ensemble_moments(occupancy_run, (ir, None), grid, n_runs, seed)
+    return ensemble_moments(reaction_run, ir, grid, n_runs, seed)
 
-    scalar_s, scalar = best_of(lambda: run("direct"), repeat)
-    batched_s, batched = best_of(lambda: run("batched"), repeat)
+
+def default_path(ir, grid, n_runs, seed):
+    return solve(ir, "ssa", mode="ensemble", times=grid, n_runs=n_runs,
+                 seed=seed)
+
+
+def run_case(name, ir, grid, n_runs, repeat, seed=2019):
+    scalar_s, scalar = best_of(
+        lambda: scalar_oracle(ir, grid, n_runs, seed), repeat
+    )
+    batched_s, batched = best_of(
+        lambda: default_path(ir, grid, n_runs, seed), repeat
+    )
     assert_identical(scalar, batched)
     assert batched.meta.get("kernel") == "batched", (
-        f"{name}: batched request silently fell back to the scalar kernel"
+        f"{name}: the default path silently fell back to the scalar kernel"
     )
     return {
         "model": name,
@@ -169,16 +185,16 @@ def main(argv=None) -> int:
 
 
 def test_batched_identity_smoke():
-    """Pytest smoke: batched and scalar ensembles are bit-identical on
-    the bundled enzyme model (no timing gate — CI machines vary)."""
+    """Pytest smoke: the default path and the scalar oracle are
+    bit-identical on the bundled enzyme model (no timing gate — CI
+    machines vary)."""
     ir = _enzyme_ir()
     grid = np.linspace(0.0, 5.0, 21)
     with cache_disabled():
-        scalar = solve(ir, "ssa", backend="direct", mode="ensemble",
-                       times=grid, n_runs=40, seed=7)
-        batched = solve(ir, "ssa", backend="batched", mode="ensemble",
-                        times=grid, n_runs=40, seed=7)
+        scalar = scalar_oracle(ir, grid, 40, 7)
+        batched = default_path(ir, grid, 40, 7)
     assert_identical(scalar, batched)
+    assert batched.meta["kernel"] == "batched"
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from repro.biopepa.lower import lower_reactions
 from repro.biopepa.model import BioModel
 from repro.errors import BioPepaError, reraise_ir_errors
 from repro.ir import solve
+from repro.ir.backends.ssa import REACTION_EVENT_BUDGET
 
 __all__ = ["ssa_trajectory", "ssa_ensemble", "SsaTrajectory", "SsaEnsemble"]
 
@@ -75,7 +76,7 @@ def ssa_trajectory(
     model: BioModel,
     times: Sequence[float],
     seed: int | np.random.Generator = 0,
-    max_events: int = 5_000_000,
+    max_events: int = REACTION_EVENT_BUDGET,
 ) -> SsaTrajectory:
     """Simulate one realization of the jump process on a time grid.
 
@@ -113,8 +114,8 @@ def ssa_ensemble(
     Realization ``i`` is driven by the ``i``-th child of
     ``SeedSequence(seed)``, so the result is a pure function of
     ``(model, times, n_runs, seed)``.  Runs are processed in fixed
-    chunks whose Welford partials are merged in chunk order (memory
-    stays at two grids per chunk regardless of ensemble size); under
+    chunks whose Welford partials are merged in chunk order (memory is
+    bounded by one task's grids regardless of ensemble size); under
     ``engine.parallel(workers=...)`` the chunks execute on a process
     pool and the result is bit-identical to the sequential one.
 
@@ -125,7 +126,10 @@ def ssa_ensemble(
     ``method`` selects the ``ssa`` backend: ``"direct"`` (Gillespie,
     the default) or ``"next-reaction"`` (Anderson's modified
     next-reaction method; statistically equivalent, different RNG
-    stream).
+    stream).  ``direct`` advances the runs together on the vectorized
+    batched kernel, bit-identical to the scalar stepper it falls back
+    to for laws the kernel cannot evaluate exactly;
+    ``meta["kernel"]`` records which one ran.
     """
     with reraise_ir_errors(BioPepaError):
         ens = solve(

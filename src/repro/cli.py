@@ -445,7 +445,8 @@ def _solve_dispatch(args: argparse.Namespace, ir, labels) -> int:
         )
         print(
             f"ssa ensemble mean at t={args.horizon:g} "
-            f"({args.runs} runs, seed {args.seed}):"
+            f"({args.runs} runs, seed {args.seed}, "
+            f"{ens.meta['kernel']} kernel):"
         )
         _print_top(labels, ens.mean[-1], args.top)
     if args.diagnostics:

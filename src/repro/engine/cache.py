@@ -36,6 +36,7 @@ import os
 import pickle
 import struct
 import threading
+import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
@@ -45,6 +46,7 @@ import scipy.sparse as sp
 
 from repro.engine import faults
 from repro.engine.metrics import get_registry
+from repro.engine.resilience import env_number
 
 __all__ = [
     "Uncacheable",
@@ -66,6 +68,9 @@ class Uncacheable(TypeError):
 
 
 _MISS = object()
+
+#: In-memory LRU capacity when ``$REPRO_CACHE_SIZE`` is unset or invalid.
+_DEFAULT_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +260,7 @@ class ResultCache:
 
     def __init__(
         self,
-        max_entries: int = 256,
+        max_entries: int = _DEFAULT_SIZE,
         disk_dir: str | os.PathLike | None = None,
         enabled: bool = True,
     ) -> None:
@@ -395,7 +400,15 @@ class ResultCache:
 
 def _cache_from_env() -> ResultCache:
     enabled = os.environ.get("REPRO_CACHE", "on").lower() not in ("off", "0", "false")
-    size = int(os.environ.get("REPRO_CACHE_SIZE", "256"))
+    size = env_number("REPRO_CACHE_SIZE", _DEFAULT_SIZE, int)
+    if size < 1:
+        warnings.warn(
+            f"ignoring REPRO_CACHE_SIZE={size} (must be at least 1); "
+            f"using default {_DEFAULT_SIZE}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        size = _DEFAULT_SIZE
     return ResultCache(
         max_entries=size,
         disk_dir=os.environ.get("REPRO_CACHE_DIR") or None,

@@ -235,7 +235,7 @@ class RunManifest:
     params: dict                   #: encoded solver parameters
     seed: dict | None              #: root entropy + spawn layout
     chunks: dict | None            #: chunk structure of the fan-out
-    backend: dict | None           #: requested / used / chain taken
+    backend: dict | None           #: requested / used / chain / kernel
     cache: str | None              #: cache status of the producing call
     diagnostics: dict | None       #: digest of the diagnostics dict
     environment: dict              #: numerical-stack fingerprint
@@ -341,8 +341,6 @@ def _seed_spec(params: dict, result) -> tuple[dict | None, dict | None]:
     chunks = {"count": int(n_chunks)}
     if meta.get("chunk_runs") is not None:
         chunks["chunk_runs"] = int(meta["chunk_runs"])
-    if meta.get("kernel") is not None:
-        chunks["kernel"] = str(meta["kernel"])
     return seed, chunks
 
 
@@ -387,6 +385,8 @@ def build_solve_manifest(
     digest = result_digest(result)
     model = current_model_context()
     seed, chunks = _seed_spec(params, result)
+    meta = getattr(result, "meta", None)
+    kernel = meta.get("kernel") if isinstance(meta, dict) else None
     return RunManifest(
         kind="solve",
         capability=capability,
@@ -400,6 +400,9 @@ def build_solve_manifest(
             "chain": list(chain),
             "fallback_error": fallback_error,
             "ir_digest": ir_digest,
+            # Which kernel ran an ensemble: observational, because every
+            # kernel gives the same bits.
+            "kernel": kernel,
         },
         cache=cache_status,
         diagnostics=_diagnostics_digest(result),

@@ -135,12 +135,10 @@ class SimulationLimitError(IRError):
 class BatchedKernelError(BackendError):
     """The vectorized SSA kernel cannot serve this request.
 
-    Raised when the batched ensemble kernel is asked for something only
-    the scalar steppers provide (single-trajectory mode), or when its
+    Raised when its padded jump table would be too large, or when its
     vectorized propensity evaluation fails the bit-identity self-check
-    against the scalar law.  Registered as recoverable in the ``ssa``
-    fallback chain, so the request degrades to the scalar oracle
-    (``direct``) instead of failing."""
+    against the scalar law.  The ``ssa`` backend catches it and runs
+    the ensemble on the scalar stepper instead of failing."""
 
 
 @contextmanager

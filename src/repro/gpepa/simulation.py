@@ -30,6 +30,7 @@ from repro.errors import GPepaError, reraise_ir_errors
 from repro.gpepa.lower import lower_reactions
 from repro.gpepa.model import GroupedModel
 from repro.ir import solve
+from repro.ir.backends.ssa import REACTION_EVENT_BUDGET
 
 __all__ = ["gssa_trajectory", "gssa_ensemble", "GssaTrajectory", "GssaEnsemble"]
 
@@ -69,7 +70,7 @@ def gssa_trajectory(
     model: GroupedModel,
     times: Sequence[float],
     seed: int | np.random.Generator = 0,
-    max_events: int = 5_000_000,
+    max_events: int = REACTION_EVENT_BUDGET,
 ) -> GssaTrajectory:
     """Simulate one jump path of the grouped population process.
 

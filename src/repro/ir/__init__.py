@@ -27,7 +27,6 @@ from repro.ir.markov import MarkovIR, OrbitInfo
 from repro.ir.reaction import ReactionIR
 from repro.ir.registry import (
     CAPABILITIES,
-    RetryPolicy,
     available_backends,
     default_backend,
     fallback_chain,
@@ -42,7 +41,6 @@ __all__ = [
     "MarkovIR",
     "OrbitInfo",
     "ReactionIR",
-    "RetryPolicy",
     "available_backends",
     "default_backend",
     "fallback_chain",

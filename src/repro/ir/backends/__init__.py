@@ -7,12 +7,11 @@ Each submodule registers its backends at import time:
     (uniformization / expm) and ``passage`` (uniformization / expm)
     over :class:`~repro.ir.markov.MarkovIR`.
 ``ssa``
-    ``ssa`` (direct / next-reaction) over both IRs, plus the shared
-    chunked-Welford ensemble machinery.
+    ``ssa`` (direct / next-reaction) over both IRs, plus the one
+    chunked-Welford ensemble driver.
 ``ssa_batched``
-    ``ssa`` (batched / auto) — vectorized ensemble kernels that are
-    bit-identical to the scalar steppers, with a batched→scalar
-    fallback chain.
+    The vectorized ensemble kernels ``direct`` runs ensembles on —
+    bit-identical to the scalar steppers (no registrations).
 ``ode``
     ``ode`` (scipy / rk4) over :class:`~repro.ir.reaction.ReactionIR`.
 """
@@ -21,7 +20,6 @@ from repro.ir.backends import (  # noqa: F401  (registration)
     markov,
     ode,
     ssa,
-    ssa_batched,
 )
 from repro.ir.backends.markov import DENSE_STATE_LIMIT, PassageSolution
 from repro.ir.backends.ode import DefaultRhs
@@ -39,11 +37,7 @@ from repro.ir.backends.ssa import (
     reaction_trajectory_next_reaction,
     validate_grid,
 )
-from repro.ir.backends.ssa_batched import (
-    ensemble_moments_batched,
-    markov_occupancy_chunk,
-    reaction_chunk,
-)
+from repro.ir.backends.ssa_batched import markov_occupancy_chunk, reaction_chunk
 
 __all__ = [
     "CHUNK_RUNS",
@@ -55,7 +49,6 @@ __all__ = [
     "Trajectory",
     "as_rng",
     "ensemble_moments",
-    "ensemble_moments_batched",
     "markov_occupancy_chunk",
     "markov_path",
     "reaction_chunk",

@@ -17,15 +17,23 @@ the IR contract:
   positive propensities for ``rng.random() * total`` (GPEPA's
   discipline; zero-propensity reactions neither accumulate nor fire).
 
-Ensembles follow the PR-1 determinism contract for *every* frontend:
-one ``SeedSequence`` child per realization (:func:`spawn_seeds`), fixed
+Ensembles follow one determinism contract for *every* frontend: one
+``SeedSequence`` child per realization (:func:`spawn_seeds`), fixed
 chunks of :data:`CHUNK_RUNS` runs whose Welford partials are merged in
 chunk order, so ``engine.parallel`` fan-out is bit-identical to the
-sequential reduction.
+sequential reduction.  :func:`ensemble_moments` is the one driver that
+implements it.  The ``direct`` backend hands it the vectorized kernels
+of :mod:`repro.ir.backends.ssa_batched`, which reproduce these steppers
+bit for bit, and runs the steppers themselves only when a kernel cannot
+serve the ensemble (:class:`~repro.errors.BatchedKernelError`).  The
+steppers also serve trajectories, ``next-reaction`` ensembles, and —
+as ``ensemble_moments(reaction_run | occupancy_run, ...)`` — the test
+oracle for the kernels.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +41,21 @@ import numpy as np
 from repro.engine.cache import Uncacheable, canonical_key
 from repro.engine.executor import run_tasks, spawn_seeds, welford_merge
 from repro.engine.metrics import get_registry
-from repro.errors import BackendError, IRError, SimulationLimitError
+from repro.errors import (
+    BackendError,
+    BatchedKernelError,
+    IRError,
+    SimulationLimitError,
+)
+from repro.ir.backends.ssa_batched import markov_occupancy_chunk, reaction_chunk
 from repro.ir.markov import MarkovIR
 from repro.ir.reaction import ReactionIR
 from repro.ir.registry import register_backend
 
 __all__ = [
     "CHUNK_RUNS",
+    "MARKOV_EVENT_BUDGET",
+    "REACTION_EVENT_BUDGET",
     "JumpPath",
     "Trajectory",
     "EnsembleMoments",
@@ -57,6 +73,19 @@ __all__ = [
 #: worker count — so chunk boundaries, and therefore every floating-
 #: point reduction, are identical however the chunks are scheduled.
 CHUNK_RUNS = 25
+
+#: Chunks a batched kernel advances together in one task.  Its per-round
+#: NumPy overhead amortizes over the batch width while the per-trajectory
+#: RNG draws scale linearly, so a wider batch is nearly free throughput.
+#: Scalar runners keep one chunk per task: their cost is all per run, and
+#: narrow tasks balance better across workers.  Partials stay per chunk
+#: either way, so the width never changes the result.
+BATCH_CHUNKS = 4
+
+#: Default event budgets of one realization: jumps of a MarkovIR path,
+#: reaction firings of a ReactionIR trajectory.
+MARKOV_EVENT_BUDGET = 10_000_000
+REACTION_EVENT_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -123,7 +152,7 @@ def markov_path(
     grid: np.ndarray,
     rng: np.random.Generator,
     initial: int | None = None,
-    max_events: int = 10_000_000,
+    max_events: int = MARKOV_EVENT_BUDGET,
 ) -> JumpPath:
     """One jump path of a labelled CTMC, sampled on ``grid``.
 
@@ -201,7 +230,7 @@ def reaction_trajectory(
     ir: ReactionIR,
     grid: np.ndarray,
     rng: np.random.Generator,
-    max_events: int = 5_000_000,
+    max_events: int = REACTION_EVENT_BUDGET,
 ) -> Trajectory:
     """One Gillespie direct-method realization on a time grid."""
     N = ir.stoichiometry
@@ -258,7 +287,7 @@ def reaction_trajectory_next_reaction(
     ir: ReactionIR,
     grid: np.ndarray,
     rng: np.random.Generator,
-    max_events: int = 5_000_000,
+    max_events: int = REACTION_EVENT_BUDGET,
 ) -> Trajectory:
     """One realization by Anderson's modified next-reaction method.
 
@@ -321,64 +350,65 @@ def reaction_trajectory_next_reaction(
 # Chunked ensembles (one code path for all frontends)
 # ---------------------------------------------------------------------------
 
-def reaction_run(payload, grid, rng, max_events=None):
+def reaction_run(payload, grid, rng, max_events=REACTION_EVENT_BUDGET):
     """Ensemble runner: one direct-method realization of a ReactionIR."""
-    if max_events is None:
-        traj = reaction_trajectory(payload, grid, rng)
-    else:
-        traj = reaction_trajectory(payload, grid, rng, max_events=max_events)
+    traj = reaction_trajectory(payload, grid, rng, max_events=max_events)
     return traj.counts, traj.n_events
 
 
-def reaction_run_next_reaction(payload, grid, rng, max_events=None):
+def reaction_run_next_reaction(payload, grid, rng,
+                               max_events=REACTION_EVENT_BUDGET):
     """Ensemble runner: one next-reaction realization of a ReactionIR."""
-    if max_events is None:
-        traj = reaction_trajectory_next_reaction(payload, grid, rng)
-    else:
-        traj = reaction_trajectory_next_reaction(
-            payload, grid, rng, max_events=max_events
-        )
+    traj = reaction_trajectory_next_reaction(
+        payload, grid, rng, max_events=max_events
+    )
     return traj.counts, traj.n_events
 
 
-def occupancy_run(payload, grid, rng, max_events=None):
+def occupancy_run(payload, grid, rng, max_events=MARKOV_EVENT_BUDGET):
     """Ensemble runner: one MarkovIR path as a one-hot occupancy matrix."""
     ir, initial = payload
-    if max_events is None:
-        path = markov_path(ir, grid, rng, initial=initial)
-    else:
-        path = markov_path(ir, grid, rng, initial=initial, max_events=max_events)
+    path = markov_path(ir, grid, rng, initial=initial, max_events=max_events)
     occ = np.zeros((grid.size, ir.n_states))
     occ[np.arange(grid.size), path.states] = 1.0
     return occ, path.n_events
 
 
-def _ensemble_chunk(task) -> tuple[int, np.ndarray, np.ndarray, int]:
-    """Worker: Welford partials ``(count, mean, m2, events)`` over one
-    chunk of independently seeded realizations.
+def _ensemble_task(task) -> list[tuple[int, np.ndarray, np.ndarray, int]]:
+    """Worker: Welford partials ``(count, mean, m2, events)``, one per
+    :data:`CHUNK_RUNS` chunk of the task's seed slice, in run order.
 
-    Tasks are 4-tuples historically and 5-tuples when an event budget is
-    threaded through; budget-less calls keep the 3-argument runner
-    signature so existing custom runners stay compatible.
+    A batched kernel advances the whole slice at once; a scalar runner
+    is called once per seed.  Without a budget the runner is called
+    with three arguments, so custom runners need not accept one.
     """
-    runner, payload, grid, seeds, *rest = task
-    budget = rest[0] if rest else None
-    mean = m2 = None
-    events = 0
-    for k, seed_seq in enumerate(seeds, start=1):
-        rng = np.random.default_rng(seed_seq)
-        if budget is None:
-            counts, n_events = runner(payload, grid, rng)
-        else:
-            counts, n_events = runner(payload, grid, rng, max_events=budget)
-        if mean is None:
-            mean = np.zeros_like(counts)
-            m2 = np.zeros_like(counts)
-        delta = counts - mean
-        mean += delta / k
-        m2 += delta * (counts - mean)
-        events += n_events
-    return len(seeds), mean, m2, events
+    runner, payload, grid, seeds, budget = task
+    kwargs = {} if budget is None else {"max_events": budget}
+    if getattr(runner, "batched", False):
+        runs, run_events = runner(payload, grid, seeds, **kwargs)
+        realizations = zip(runs, run_events)
+    else:
+        realizations = (
+            runner(payload, grid, np.random.default_rng(s), **kwargs)
+            for s in seeds
+        )
+    partials = []
+    for lo in range(0, len(seeds), CHUNK_RUNS):
+        size = min(CHUNK_RUNS, len(seeds) - lo)
+        mean = m2 = None
+        events = 0
+        for k, (counts, n_events) in enumerate(
+            itertools.islice(realizations, size), start=1
+        ):
+            if mean is None:
+                mean = np.zeros_like(counts)
+                m2 = np.zeros_like(counts)
+            delta = counts - mean
+            mean += delta / k
+            m2 += delta * (counts - mean)
+            events += n_events
+        partials.append((size, mean, m2, events))
+    return partials
 
 
 def _checkpoint_key(runner, payload, grid, n_runs: int, seed: int,
@@ -388,7 +418,8 @@ def _checkpoint_key(runner, payload, grid, n_runs: int, seed: int,
     ``None`` (checkpointing skipped) when the payload has no canonical
     hash, or when its identity token is explicitly ``None`` — a
     tokenless IR marks itself as not content-addressable, and hashing it
-    anyway would collide distinct models onto one key.
+    anyway would collide distinct models onto one key.  The runner's
+    name is part of the key because it fixes the task layout.
     """
     ident = payload[0] if isinstance(payload, tuple) else payload
     if getattr(ident, "token", True) is None:
@@ -397,12 +428,9 @@ def _checkpoint_key(runner, payload, grid, n_runs: int, seed: int,
         runner, "checkpoint_name", getattr(runner, "__qualname__", repr(runner))
     )
     try:
-        # Budget-less keys keep their historical shape so checkpoints
-        # written before budgets were threaded through remain valid.
-        parts = ("ensemble", name, payload, grid, int(n_runs), int(seed))
-        if max_events is not None:
-            parts = parts + (int(max_events),)
-        return canonical_key(*parts)
+        return canonical_key(
+            "ensemble", name, payload, grid, int(n_runs), int(seed), max_events
+        )
     except Uncacheable:
         return None
 
@@ -413,47 +441,57 @@ def ensemble_moments(
     grid: np.ndarray,
     n_runs: int,
     seed: int,
-    timer_name: str = "ssa_ensemble",
     max_events=None,
 ) -> EnsembleMoments:
     """Streaming mean / sample variance over ``n_runs`` realizations.
 
+    ``runner`` is a scalar runner — one realization per call,
+    ``runner(payload, grid, rng[, max_events]) -> (counts, n_events)``
+    — or a batched kernel (``runner.batched`` true) that advances a
+    whole seed slice per call, ``runner(payload, grid, seeds,
+    max_events) -> (runs, events)``.  A kernel's task spans
+    :data:`BATCH_CHUNKS` chunks, a scalar runner's one; ``meta["kernel"]``
+    records which kind ran.
+
     Realization ``i`` is driven by the ``i``-th child of
     ``SeedSequence(seed)``, so the result is a pure function of
-    ``(payload, grid, n_runs, seed)`` — never of how runs are scheduled.
-    Runs are processed in fixed chunks whose Welford partials are merged
-    in chunk order; under ``engine.parallel(workers=...)`` the chunks
-    execute on a process pool and the result is bit-identical to the
-    sequential one.  ``var`` uses the unbiased ``ddof=1`` normalization.
+    ``(payload, grid, n_runs, seed)`` — never of how runs are scheduled
+    or which kernel ran them.  Runs are processed in fixed chunks whose
+    Welford partials are merged in chunk order; under
+    ``engine.parallel(workers=...)`` the tasks execute on a process pool
+    and the result is bit-identical to the sequential one.  ``var`` uses
+    the unbiased ``ddof=1`` normalization.
 
-    When a checkpoint store is active (``$REPRO_CHECKPOINT_DIR``), chunk
+    When a checkpoint store is active (``$REPRO_CHECKPOINT_DIR``), task
     partials are persisted as they complete under a key derived from the
     same content hash as the result cache, so an interrupted ensemble
-    resumes from its completed chunks — and, the reduction order being
+    resumes from its completed tasks — and, the reduction order being
     fixed, still matches the uninterrupted result bit for bit.
     """
     if n_runs < 1:
         raise IRError("ensemble needs at least one run")
+    batched = getattr(runner, "batched", False)
     seeds = spawn_seeds(seed, n_runs)
-    with get_registry().timer(timer_name) as gauges:
+    stride = CHUNK_RUNS * (BATCH_CHUNKS if batched else 1)
+    n_chunks = -(-n_runs // CHUNK_RUNS)
+    with get_registry().timer("ssa_ensemble") as gauges:
         tasks = [
-            (runner, payload, grid, seeds[lo : lo + CHUNK_RUNS])
-            if max_events is None
-            else (runner, payload, grid, seeds[lo : lo + CHUNK_RUNS], max_events)
-            for lo in range(0, n_runs, CHUNK_RUNS)
+            (runner, payload, grid, seeds[lo : lo + stride], max_events)
+            for lo in range(0, n_runs, stride)
         ]
-        partials = run_tasks(
-            _ensemble_chunk, tasks, checkpoint=_checkpoint_key(
+        grouped = run_tasks(
+            _ensemble_task, tasks, checkpoint=_checkpoint_key(
                 runner, payload, grid, n_runs, seed, max_events
             )
         )
         count, mean, m2 = 0, 0.0, 0.0
         events = 0
-        for chunk_count, chunk_mean, chunk_m2, chunk_events in partials:
-            count, mean, m2 = welford_merge(
-                (count, mean, m2), (chunk_count, chunk_mean, chunk_m2)
-            )
-            events += chunk_events
+        for partials in grouped:
+            for chunk_count, chunk_mean, chunk_m2, chunk_events in partials:
+                count, mean, m2 = welford_merge(
+                    (count, mean, m2), (chunk_count, chunk_mean, chunk_m2)
+                )
+                events += chunk_events
         var = m2 / (n_runs - 1) if n_runs > 1 else np.zeros_like(m2)
         gauges["n_runs"] = n_runs
         gauges["events"] = events
@@ -463,8 +501,9 @@ def ensemble_moments(
         var=var,
         n_runs=n_runs,
         events=events,
-        chunks=len(tasks),
-        meta={"events": events, "chunks": len(tasks), "chunk_runs": CHUNK_RUNS},
+        chunks=n_chunks,
+        meta={"events": events, "chunks": n_chunks, "chunk_runs": CHUNK_RUNS,
+              "kernel": "batched" if batched else "scalar"},
     )
 
 
@@ -472,10 +511,16 @@ def ensemble_moments(
 # Registry entry points
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "direct": reaction_run,
-    "next-reaction": reaction_run_next_reaction,
-}
+def _fastest_ensemble(kernel, runner, payload, grid, n_runs, seed, budget):
+    """``kernel`` when it can serve the ensemble, else the scalar
+    ``runner`` — the two give the same bits, so only the speed differs."""
+    try:
+        return ensemble_moments(kernel, payload, grid, n_runs, seed,
+                                max_events=budget)
+    except BatchedKernelError:
+        get_registry().increment("ir.ssa.scalar_fallback")
+        return ensemble_moments(runner, payload, grid, n_runs, seed,
+                                max_events=budget)
 
 
 def _ssa_solve(ir, *, variant, times, seed=0, mode="trajectory", n_runs=100,
@@ -487,19 +532,24 @@ def _ssa_solve(ir, *, variant, times, seed=0, mode="trajectory", n_runs=100,
                 "next-reaction simulation needs a ReactionIR (per-reaction "
                 "clocks have no analogue in a per-state jump table)"
             )
-        budget = 10_000_000 if max_events is None else max_events
+        budget = MARKOV_EVENT_BUDGET if max_events is None else max_events
         if mode == "trajectory":
             return markov_path(ir, grid, as_rng(seed), initial=initial,
                                max_events=budget)
-        return ensemble_moments(occupancy_run, (ir, initial), grid, n_runs,
-                                seed, max_events=max_events)
-    budget = 5_000_000 if max_events is None else max_events
+        return _fastest_ensemble(markov_occupancy_chunk, occupancy_run,
+                                 (ir, initial), grid, n_runs, seed, budget)
+    budget = REACTION_EVENT_BUDGET if max_events is None else max_events
+    if variant == "next-reaction":
+        if mode == "trajectory":
+            return reaction_trajectory_next_reaction(
+                ir, grid, as_rng(seed), max_events=budget
+            )
+        return ensemble_moments(reaction_run_next_reaction, ir, grid, n_runs,
+                                seed, max_events=budget)
     if mode == "trajectory":
-        step = (reaction_trajectory if variant == "direct"
-                else reaction_trajectory_next_reaction)
-        return step(ir, grid, as_rng(seed), max_events=budget)
-    return ensemble_moments(_RUNNERS[variant], ir, grid, n_runs, seed,
-                            max_events=max_events)
+        return reaction_trajectory(ir, grid, as_rng(seed), max_events=budget)
+    return _fastest_ensemble(reaction_chunk, reaction_run, ir, grid, n_runs,
+                             seed, budget)
 
 
 def _ssa_direct(ir, **params):

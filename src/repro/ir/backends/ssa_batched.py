@@ -3,18 +3,21 @@
 The scalar steppers in :mod:`repro.ir.backends.ssa` advance one
 trajectory per Python loop iteration; for the paper's Table I / Fig. 3-6
 ensembles (thousands of realizations, millions of events) that loop is
-the dominant hot path.  This module advances a whole chunk of
+the dominant hot path.  The kernels here advance a whole seed slice of
 realizations per NumPy call instead — batched propensity evaluation
 across the live trajectories, vectorized grid-cursor advance and
 reaction selection, and compaction of finished/absorbed paths out of
 the working set — in the array-level spirit of Ding & Hillston's
-numerical vector form.
+numerical vector form.  The ``ssa`` backend's ``direct`` method runs
+every ensemble on them through
+:func:`~repro.ir.backends.ssa.ensemble_moments`; this module holds only
+the array kernels.
 
 Bit-identity contract
 ---------------------
 The scalar steppers remain the *oracle* (exactly as the derivation fast
 path kept ``derive_reference``): the batched kernel must reproduce every
-seeded trajectory bit for bit.  Three disciplines make that possible:
+seeded trajectory bit for bit.  Two disciplines make that possible:
 
 * each realization still consumes only its own ``SeedSequence``-child
   stream, and waiting-time/selection draws stay interleaved per
@@ -26,54 +29,31 @@ seeded trajectory bit for bit.  Three disciplines make that possible:
   left-fold because adding ``0.0`` is exact; ``sum(axis=1)`` keeps
   NumPy's pairwise order per row; ``rng.choice`` is replicated by its
   own normalized-CDF inversion, which consumes the identical single
-  uniform);
-* chunk boundaries (:data:`~repro.ir.backends.ssa.CHUNK_RUNS`) still own
-  determinism: the batch width *is* the chunk, Welford partials are
-  computed per chunk in run order and merged in chunk order, so
-  parallel, sequential, batched and scalar ensembles all agree bitwise.
+  uniform).
+
+Chunk boundaries, seed spawning and the Welford merge belong to the
+shared ensemble driver, so the kernels only turn seeds into runs.
 
 Batched propensity evaluation uses ``ReactionIR.batch_propensities``
 when the frontend attached one (elementwise-exact law forms only) and
-self-checks its first evaluation against the scalar law; any
-disagreement — or a request the kernel cannot serve, like trajectory
-mode — raises :class:`~repro.errors.BatchedKernelError`, which the
-``ssa`` fallback chain resolves to the scalar ``direct`` backend.
+self-checks its first evaluation against the scalar law; a disagreement
+— or a padded jump table too large to allocate — raises
+:class:`~repro.errors.BatchedKernelError`, on which the ``ssa`` backend
+runs the ensemble on the scalar stepper instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.cache import Uncacheable, canonical_key
-from repro.engine.executor import run_tasks, spawn_seeds, welford_merge
-from repro.engine.metrics import get_registry
-from repro.errors import (
-    BatchedKernelError,
-    ConvergenceError,
-    IRError,
-    NumericalTrustError,
-    SimulationLimitError,
-    SingularGeneratorError,
-)
-from repro.ir.backends.ssa import (
-    CHUNK_RUNS,
-    EnsembleMoments,
-    _ssa_solve,
-    validate_grid,
-)
+from repro.errors import BatchedKernelError, IRError, SimulationLimitError
 from repro.ir.markov import MarkovIR
 from repro.ir.reaction import ReactionIR
-from repro.ir.registry import (
-    RetryPolicy,
-    register_backend,
-    register_fallback_chain,
-)
 
 __all__ = [
     "batched_markov_tables",
     "markov_occupancy_chunk",
     "reaction_chunk",
-    "ensemble_moments_batched",
 ]
 
 #: Padded per-state jump tables beyond this many matrix entries fall
@@ -117,20 +97,21 @@ def batched_markov_tables(ir: MarkovIR):
 
 
 def markov_occupancy_chunk(
-    ir: MarkovIR,
+    payload: tuple[MarkovIR, int | None],
     grid: np.ndarray,
     seeds,
-    initial: int | None = None,
-    max_events: int | None = None,
-) -> tuple[list[np.ndarray], list[int]]:
-    """One chunk of jump paths, advanced together; one-hot occupancies.
+    max_events: int,
+):
+    """One seed slice of jump paths, advanced together.
 
-    Returns per-run ``(grid.size, n_states)`` occupancy matrices and
-    event counts, bit-identical to running
-    :func:`~repro.ir.backends.ssa.occupancy_run` per seed.
+    ``payload`` is ``(ir, initial)`` as for
+    :func:`~repro.ir.backends.ssa.occupancy_run`.  Returns an iterator
+    of per-run ``(grid.size, n_states)`` one-hot occupancy matrices
+    (built one at a time as the caller consumes them) and the per-run
+    event counts, bit-identical to running ``occupancy_run`` per seed.
     """
+    ir, initial = payload
     cum_pad, tgt_pad, deg, total = batched_markov_tables(ir)
-    budget = 10_000_000 if max_events is None else max_events
     state0 = ir.initial_index if initial is None else int(initial)
     if not 0 <= state0 < ir.n_states:
         raise IRError(f"initial state {state0} out of range")
@@ -178,10 +159,10 @@ def markov_occupancy_chunk(
             live, st, tot = live[keep], st[keep], tot[keep]
             if not live.size:
                 break
-        if rounds >= budget:
+        if rounds >= max_events:
             raise SimulationLimitError(
-                f"simulation exceeded {budget} events",
-                budget=budget, events=int(budget),
+                f"simulation exceeded {max_events} events",
+                budget=max_events, events=int(max_events),
             )
         u = np.empty(live.size)
         for j in range(live.size):
@@ -194,13 +175,15 @@ def markov_occupancy_chunk(
         state[live] = tgt_pad[st, k]
         events[live] += 1
         rounds += 1
-    occupancies = []
-    idx = np.arange(grid_size)
-    for b in range(n_runs):
-        occ = np.zeros((grid_size, ir.n_states))
-        occ[idx, states_out[b]] = 1.0
-        occupancies.append(occ)
-    return occupancies, [int(e) for e in events]
+    return _one_hot(states_out, ir.n_states), [int(e) for e in events]
+
+
+def _one_hot(states_out: np.ndarray, n_states: int):
+    idx = np.arange(states_out.shape[1])
+    for row in states_out:
+        occ = np.zeros((row.size, n_states))
+        occ[idx, row] = 1.0
+        yield occ
 
 
 def _rowwise_propensities(ir: ReactionIR, states: np.ndarray) -> np.ndarray:
@@ -215,15 +198,14 @@ def reaction_chunk(
     ir: ReactionIR,
     grid: np.ndarray,
     seeds,
-    max_events: int | None = None,
+    max_events: int,
 ) -> tuple[list[np.ndarray], list[int]]:
-    """One chunk of direct-method realizations, advanced together.
+    """One seed slice of direct-method realizations, advanced together.
 
     Returns per-run ``(grid.size, n_species)`` count matrices and event
     counts, bit-identical to :func:`~repro.ir.backends.ssa.reaction_run`
     per seed, for both the ``choice`` and ``scan`` samplers.
     """
-    budget = 5_000_000 if max_events is None else max_events
     stoich_t = np.ascontiguousarray(ir.stoichiometry.T)
     x0 = ir.integer_initial()
     grid_size, n_rx = grid.size, ir.n_reactions
@@ -297,10 +279,10 @@ def reaction_chunk(
                 cum = cum[keep]
             if not live.size:
                 break
-        if rounds >= budget:
+        if rounds >= max_events:
             raise SimulationLimitError(
-                f"simulation exceeded {budget} events before the horizon",
-                budget=budget, events=int(budget),
+                f"simulation exceeded {max_events} events before the horizon",
+                budget=max_events, events=int(max_events),
             )
         u = np.empty(live.size)
         for j in range(live.size):
@@ -341,184 +323,7 @@ def reaction_chunk(
     return [out[b] for b in range(n_runs)], [int(e) for e in events]
 
 
-# ---------------------------------------------------------------------------
-# Chunked ensemble driver (same determinism contract as the scalar one)
-# ---------------------------------------------------------------------------
-
-#: Chunks simulated together per batched task.  The per-round NumPy and
-#: bookkeeping overhead amortizes over the batch width while the
-#: per-trajectory scalar RNG draws scale linearly, so a wider batch is
-#: nearly free throughput — but Welford partials are still folded per
-#: :data:`~repro.ir.backends.ssa.CHUNK_RUNS` chunk in run order and
-#: merged in chunk order, so the chunk structure (and with it seeded
-#: replication) is untouched by the width.
-SUPER_CHUNKS = 4
-
-
-def _batched_chunk(task) -> list[tuple[int, np.ndarray, np.ndarray, int]]:
-    """Worker: per-chunk Welford partials over one batched sweep.
-
-    The task's whole seed slice (up to ``SUPER_CHUNKS`` chunks) advances
-    together through the vectorized kernel; the Welford fold then visits
-    the finished runs chunk by chunk in run order with the same
-    arithmetic as the scalar ``_ensemble_chunk``, so each partial is
-    bit-identical given bit-identical trajectories.
-    """
-    kind, payload, grid, seeds, budget = task
-    if kind == "occupancy":
-        ir, initial = payload
-        runs, run_events = markov_occupancy_chunk(
-            ir, grid, seeds, initial=initial, max_events=budget
-        )
-    else:
-        runs, run_events = reaction_chunk(
-            payload, grid, seeds, max_events=budget
-        )
-    partials = []
-    for lo in range(0, len(seeds), CHUNK_RUNS):
-        chunk = runs[lo : lo + CHUNK_RUNS]
-        mean = m2 = None
-        for k, counts in enumerate(chunk, start=1):
-            if mean is None:
-                mean = np.zeros_like(counts)
-                m2 = np.zeros_like(counts)
-            delta = counts - mean
-            mean += delta / k
-            m2 += delta * (counts - mean)
-        partials.append(
-            (len(chunk), mean, m2,
-             int(sum(run_events[lo : lo + CHUNK_RUNS])))
-        )
-    return partials
-
-
-def _batched_checkpoint_key(kind, payload, grid, n_runs, seed, max_events):
-    ident = payload[0] if isinstance(payload, tuple) else payload
-    if getattr(ident, "token", True) is None:
-        return None
-    try:
-        parts = ("ensemble-batched", kind, payload, grid, int(n_runs), int(seed))
-        if max_events is not None:
-            parts = parts + (int(max_events),)
-        return canonical_key(*parts)
-    except Uncacheable:
-        return None
-
-
-def ensemble_moments_batched(
-    kind: str,
-    payload,
-    grid: np.ndarray,
-    n_runs: int,
-    seed: int,
-    max_events=None,
-    timer_name: str = "ssa_ensemble_batched",
-) -> EnsembleMoments:
-    """Streaming ensemble moments through the batched kernels.
-
-    Same determinism contract as
-    :func:`~repro.ir.backends.ssa.ensemble_moments` — one seed child per
-    realization, fixed :data:`~repro.ir.backends.ssa.CHUNK_RUNS` chunk
-    boundaries, Welford partials merged in chunk order — and the same
-    result bit for bit, because each chunk's batched trajectories equal
-    the scalar ones.  Checkpoints use the distinct ``ensemble-batched``
-    namespace (partials are interchangeable with the scalar kernel's,
-    but a resumed batch must re-verify with the kernel that wrote it).
-    """
-    if n_runs < 1:
-        raise IRError("ensemble needs at least one run")
-    seeds = spawn_seeds(seed, n_runs)
-    stride = CHUNK_RUNS * SUPER_CHUNKS
-    n_chunks = -(-n_runs // CHUNK_RUNS)
-    with get_registry().timer(timer_name) as gauges:
-        tasks = [
-            (kind, payload, grid, seeds[lo : lo + stride], max_events)
-            for lo in range(0, n_runs, stride)
-        ]
-        grouped = run_tasks(
-            _batched_chunk, tasks, checkpoint=_batched_checkpoint_key(
-                kind, payload, grid, n_runs, seed, max_events
-            )
-        )
-        count, mean, m2 = 0, 0.0, 0.0
-        events = 0
-        for group in grouped:
-            for chunk_count, chunk_mean, chunk_m2, chunk_events in group:
-                count, mean, m2 = welford_merge(
-                    (count, mean, m2), (chunk_count, chunk_mean, chunk_m2)
-                )
-                events += chunk_events
-        var = m2 / (n_runs - 1) if n_runs > 1 else np.zeros_like(m2)
-        gauges["n_runs"] = n_runs
-        gauges["events"] = events
-    return EnsembleMoments(
-        times=grid,
-        mean=mean,
-        var=var,
-        n_runs=n_runs,
-        events=events,
-        chunks=n_chunks,
-        meta={"events": events, "chunks": n_chunks, "chunk_runs": CHUNK_RUNS,
-              "kernel": "batched"},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Registry entry points
-# ---------------------------------------------------------------------------
-
-def _ssa_batched(ir, *, times, seed=0, mode="trajectory", n_runs=100,
-                 initial=None, max_events=None):
-    grid = validate_grid(times)
-    if mode != "ensemble":
-        raise BatchedKernelError(
-            "the batched SSA kernel serves ensembles only; trajectory mode "
-            "falls back to the scalar stepper"
-        )
-    if isinstance(ir, MarkovIR):
-        return ensemble_moments_batched(
-            "occupancy", (ir, initial), grid, n_runs, seed,
-            max_events=max_events,
-        )
-    return ensemble_moments_batched(
-        "reaction", ir, grid, n_runs, seed, max_events=max_events
-    )
-
-
-def _ssa_auto(ir, *, mode="trajectory", **params):
-    """Mode-directed selection: ensembles go batched, paths go scalar."""
-    if mode == "ensemble":
-        return _ssa_batched(ir, mode=mode, **params)
-    return _ssa_solve(ir, variant="direct", mode=mode, **params)
-
-
-register_backend(
-    "ssa",
-    "batched",
-    _ssa_batched,
-    accepts=(MarkovIR, ReactionIR),
-    aliases=("ssa.batched",),
-    cache=False,
-)
-register_backend(
-    "ssa",
-    "auto",
-    _ssa_auto,
-    accepts=(MarkovIR, ReactionIR),
-    cache=False,
-)
-# Batched -> scalar: safe to resolve silently because the kernels are
-# bit-identical — falling back changes throughput, never the numbers.
-# ``next-reaction`` stays outside the chain (different RNG stream).
-register_fallback_chain(
-    "ssa",
-    ("batched", "direct"),
-    RetryPolicy(
-        recoverable=(
-            ConvergenceError,
-            SingularGeneratorError,
-            NumericalTrustError,
-            BatchedKernelError,
-        )
-    ),
-)
+# The ensemble driver hands these a whole seed slice per task instead of
+# calling them once per realization.
+markov_occupancy_chunk.batched = True
+reaction_chunk.batched = True

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.engine import faults
 from repro.engine.metrics import get_registry
+from repro.engine.resilience import env_number
 from repro.errors import NumericalTrustError
 from repro.ir.markov import MarkovIR
 from repro.ir.reaction import ReactionIR
@@ -673,13 +674,9 @@ def shadow_compare(
     """
     reg = get_registry()
     if tolerance is None:
-        env_tol = os.environ.get(_SHADOW_TOL_ENV)
-        try:
-            tolerance = float(env_tol) if env_tol else DEFAULT_SHADOW_TOL.get(
-                capability, 1e-8
-            )
-        except ValueError:
-            tolerance = DEFAULT_SHADOW_TOL.get(capability, 1e-8)
+        tolerance = env_number(
+            _SHADOW_TOL_ENV, DEFAULT_SHADOW_TOL.get(capability, 1e-8), float
+        )
     hook = _SHADOW_HOOKS.get(capability)
     if hook is not None:
         max_abs = float(hook[1](ir, result, shadow_result))

@@ -31,8 +31,8 @@ Fallback chains
 ---------------
 A capability may declare an ordered *fallback chain*
 (:func:`register_fallback_chain`) — e.g. ``steady: gmres → sparse →
-dense``.  When the requested backend fails with an error the chain's
-:class:`RetryPolicy` deems recoverable (by default
+dense``.  When the requested backend fails with an error the chain
+declares recoverable (by default :data:`RECOVERABLE`:
 :class:`~repro.errors.ConvergenceError` /
 :class:`~repro.errors.SingularGeneratorError` /
 :class:`~repro.errors.NumericalTrustError`), :func:`solve` walks the
@@ -58,7 +58,7 @@ as ``ir.trust.shadow_mismatch``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.engine import run_manifest
@@ -74,7 +74,7 @@ from repro.ir import guards
 
 __all__ = [
     "CAPABILITIES",
-    "RetryPolicy",
+    "RECOVERABLE",
     "register_backend",
     "register_fallback_chain",
     "fallback_chain",
@@ -96,31 +96,15 @@ class _Backend:
     cache: bool
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Which failures a fallback chain may recover from.
-
-    ``attempts`` is how many times each chain candidate is tried before
-    moving on (1 = no same-backend retry — the solvers are deterministic,
-    so retrying the identical call only helps for injected faults and
-    other transient failures).
-    """
-
-    attempts: int = 1
-    recoverable: tuple[type[BaseException], ...] = field(
-        default=(ConvergenceError, SingularGeneratorError, NumericalTrustError)
-    )
-
-    def __post_init__(self):
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {self.attempts}")
+#: Failures a fallback chain recovers from unless it declares otherwise.
+RECOVERABLE = (ConvergenceError, SingularGeneratorError, NumericalTrustError)
 
 
 _REGISTRY: dict[tuple[str, str], _Backend] = {}
 _ALIASES: dict[tuple[str, str], str] = {}
 _DEFAULTS: dict[str, str] = {}
 _FALLBACK_CHAINS: dict[str, tuple[str, ...]] = {}
-_FALLBACK_POLICIES: dict[str, RetryPolicy] = {}
+_FALLBACK_RECOVERABLE: dict[str, tuple[type[BaseException], ...]] = {}
 
 
 def register_backend(
@@ -154,20 +138,21 @@ def register_backend(
 def register_fallback_chain(
     capability: str,
     chain: tuple[str, ...],
-    policy: RetryPolicy | None = None,
+    recoverable: tuple[type[BaseException], ...] = RECOVERABLE,
 ) -> None:
     """Declare the ordered backend fallback chain for ``capability``.
 
-    When a :func:`solve` call on this capability fails recoverably, the
-    chain entries *after* the requested backend's position (all entries,
-    if the requested backend is not in the chain) are tried in order.
+    When a :func:`solve` call on this capability fails with one of the
+    ``recoverable`` errors, the chain entries *after* the requested
+    backend's position (all entries, if the requested backend is not in
+    the chain) are tried in order, once each.
     """
     if capability not in CAPABILITIES:
         raise BackendError(
             f"unknown capability {capability!r}; expected one of {CAPABILITIES}"
         )
     _FALLBACK_CHAINS[capability] = tuple(chain)
-    _FALLBACK_POLICIES[capability] = policy or RetryPolicy()
+    _FALLBACK_RECOVERABLE[capability] = tuple(recoverable)
 
 
 def fallback_chain(capability: str) -> tuple[str, ...]:
@@ -366,7 +351,7 @@ def solve(ir, capability: str, backend: str | None = None, fallback: bool = True
         raise BackendError(
             f"{capability}/{be.name} accepts {names}, got {type(ir).__name__}"
         )
-    policy = _FALLBACK_POLICIES.get(capability, RetryPolicy())
+    recoverable = _FALLBACK_RECOVERABLE.get(capability, RECOVERABLE)
     candidates = _candidates(capability, be) if fallback else [be]
     reg = get_registry()
     first_error: BaseException | None = None
@@ -375,30 +360,25 @@ def solve(ir, capability: str, backend: str | None = None, fallback: bool = True
         if not isinstance(ir, candidate.accepts):
             continue
         attempted.append(candidate.name)
-        error: BaseException | None = None
-        for _attempt in range(policy.attempts):
-            try:
-                result = _execute(candidate, ir, params)
-            except policy.recoverable as exc:
-                error = exc
-                continue
-            if candidate is not be:
-                reg.increment("ir.fallback.used")
-                reg.increment(
-                    f"ir.fallback.{capability}.{be.name}->{candidate.name}"
-                )
-                meta = getattr(result, "meta", None)
-                if isinstance(meta, dict):
-                    meta["fallback_from"] = be.name
-                    meta["fallback_error"] = str(first_error)
-            _maybe_shadow(capability, candidate, ir, result, params, shadow)
-            _attach_solve_manifest(
-                capability, be, candidate, attempted, first_error,
-                ir, params, result,
-            )
-            return result
-        if first_error is None:
-            first_error = error
+        try:
+            result = _execute(candidate, ir, params)
+        except recoverable as exc:
+            if first_error is None:
+                first_error = exc
+            continue
+        if candidate is not be:
+            reg.increment("ir.fallback.used")
+            reg.increment(f"ir.fallback.{capability}.{be.name}->{candidate.name}")
+            meta = getattr(result, "meta", None)
+            if isinstance(meta, dict):
+                meta["fallback_from"] = be.name
+                meta["fallback_error"] = str(first_error)
+        _maybe_shadow(capability, candidate, ir, result, params, shadow)
+        _attach_solve_manifest(
+            capability, be, candidate, attempted, first_error,
+            ir, params, result,
+        )
+        return result
     if len(candidates) > 1:
         reg.increment("ir.fallback.exhausted")
     raise first_error

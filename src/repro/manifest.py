@@ -107,8 +107,9 @@ def lower_and_resolve(
 ):
     """:func:`lower_for_capability` that also names the derive backend
     that ran: returns ``(ir, labels, derive_backend)`` with ``auto``
-    resolved to ``explicit`` or ``population``, which is what a manifest
-    must record — replay then does not depend on the selector."""
+    resolved to ``explicit`` or ``population``, and a fallback to the
+    strategy that served it, which is what a manifest must record —
+    replay then depends on neither the selector nor the fault."""
     markov = capability in ("steady", "transient", "passage")
     if formalism == "pepa":
         from repro.pepa import ctmc_of, derive, parse_model
@@ -118,8 +119,13 @@ def lower_and_resolve(
             from repro.ir import solve as ir_solve
             from repro.pepa.derivation import resolve_derive_backend
 
-            derive_backend = resolve_derive_backend(model, derive_backend)
-            ir = ir_solve(model, "derive", backend=derive_backend)
+            ir = ir_solve(
+                model, "derive",
+                backend=resolve_derive_backend(model, derive_backend),
+            )
+            # Name the strategy that ran: a population derivation that
+            # fell back to explicit yields the explicit chain.
+            derive_backend = last_manifest().backend["used"]
             labels = ir.labels or tuple(
                 str(i) for i in range(ir.n_states)
             )

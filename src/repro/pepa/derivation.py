@@ -56,7 +56,7 @@ import math
 from repro.errors import StateSpaceLimitError
 from repro.ir import MarkovIR
 from repro.ir.registry import (
-    RetryPolicy,
+    RECOVERABLE,
     register_backend,
     register_fallback_chain,
 )
@@ -251,9 +251,10 @@ def _derive_shadow_compare(model, result, shadow_result) -> float:
 
 
 def _register() -> None:
-    # explicit is not registry-cached: the statespace/ctmc layers already
-    # serve it from the content cache, and caching the lowered IR again
-    # would only duplicate storage.
+    # Neither strategy is registry-cached: the statespace/ctmc layers
+    # (explicit) and ``derive.population`` (population) already serve
+    # them from the content cache, and caching the lowered IR again would
+    # hash the model and store a result twice.
     register_backend(
         "derive",
         "explicit",
@@ -269,7 +270,7 @@ def _register() -> None:
         derive_population,
         accepts=(Model,),
         aliases=("lumped",),
-        cache=True,
+        cache=False,
     )
     register_backend(
         "derive",
@@ -278,10 +279,10 @@ def _register() -> None:
         accepts=(Model,),
         cache=False,
     )
-    policy = RetryPolicy(
-        recoverable=RetryPolicy().recoverable + (StateSpaceLimitError,)
+    register_fallback_chain(
+        "derive", ("population", "explicit"),
+        recoverable=RECOVERABLE + (StateSpaceLimitError,),
     )
-    register_fallback_chain("derive", ("population", "explicit"), policy)
     from repro.ir import guards
 
     guards.register_shadow_hook(

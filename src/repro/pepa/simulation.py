@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.errors import PepaError, reraise_ir_errors
 from repro.ir import solve
+from repro.ir.backends.ssa import MARKOV_EVENT_BUDGET
 from repro.pepa.ctmc import CTMC
 
 __all__ = ["simulate", "simulate_ensemble", "empirical_throughput", "SimulatedPath", "OccupancyEstimate"]
@@ -79,7 +80,7 @@ def simulate(
     times: Sequence[float],
     seed: int | np.random.Generator = 0,
     initial_state: int | None = None,
-    max_events: int = 10_000_000,
+    max_events: int = MARKOV_EVENT_BUDGET,
 ) -> SimulatedPath:
     """Simulate one path of the chain, sampled on ``times``.
 

@@ -309,3 +309,32 @@ class TestConcurrentDiskWriters:
         assert unseal_payload(blob) is not None
         final = ResultCache(max_entries=4, disk_dir=disk_dir).get("race-key")
         assert final["blob"] == list(range(1000))
+
+
+class TestCacheSizeEnvironment:
+    @pytest.mark.parametrize(
+        "raw, message",
+        [("abc", "malformed REPRO_CACHE_SIZE"),
+         ("0", "must be at least 1"),
+         ("-3", "must be at least 1")],
+    )
+    def test_bad_size_warns_and_solve_still_runs(self, raw, message):
+        # The cache is built at import, so only a fresh interpreter
+        # sees the variable; a bad value used to kill every command.
+        import subprocess
+        import sys
+
+        env = dict(os.environ, REPRO_CACHE_SIZE=raw)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.engine import get_cache; "
+             "from repro.cli import main; "
+             "print(get_cache().max_entries); "
+             "raise SystemExit(main(['solve', '--list-backends']))"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+        assert proc.stdout.splitlines()[0] == "256"

@@ -131,6 +131,24 @@ class TestCrossTransportBitIdentity:
             assert_array_equal(ref.var, out.var, err_msg=name)
             assert ref.events == out.events, name
 
+    def test_default_ensemble_matches_oracle_on_all_transports(
+        self, spawned_fleet
+    ):
+        # The default path's batched kernel against the scalar oracle;
+        # 260 runs give three batched tasks for the workers to share.
+        from repro.ir import solve
+
+        ir = birth_death_ir()
+        ref = ensemble_moments(reaction_run, ir, GRID, 260, seed=41)
+        for name in ("inline", "pool", "remote"):
+            with parallel(workers=3, transport=name):
+                out = solve(ir, "ssa", mode="ensemble", times=GRID,
+                            n_runs=260, seed=41)
+            assert out.meta["kernel"] == "batched", name
+            assert_array_equal(ref.mean, out.mean, err_msg=name)
+            assert_array_equal(ref.var, out.var, err_msg=name)
+            assert ref.events == out.events, name
+
     def test_plain_batches_identical_on_all_transports(self, spawned_fleet):
         tasks = list(range(10))
         granted = get_registry().counter("engine.remote_units_granted")

@@ -287,6 +287,14 @@ class TestShadowVerification:
         with pytest.warns(UserWarning, match="malformed"):
             assert guards.shadow_rate() == 0.0
 
+    def test_malformed_tolerance_env_warns(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHADOW_TOL", "tight")
+        ir = ring_ir(3)
+        a = SimpleNamespace(pi=np.array([0.5, 0.25, 0.25]))
+        with pytest.warns(RuntimeWarning, match="REPRO_SHADOW_TOL"):
+            info = guards.shadow_compare("steady", "sparse", "dense", ir, a, a)
+        assert info["shadow_tolerance"] == guards.DEFAULT_SHADOW_TOL["steady"]
+
     def test_env_rate_shadows_every_solve(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHADOW_RATE", "1.0")
         guards.reset_shadow_state()

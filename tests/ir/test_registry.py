@@ -11,7 +11,6 @@ from repro.errors import BackendError, SingularGeneratorError
 from repro.ir import (
     MarkovIR,
     ReactionIR,
-    RetryPolicy,
     available_backends,
     default_backend,
     fallback_chain,
@@ -39,7 +38,7 @@ class TestDiscovery:
             "steady": ("dense", "gmres", "sparse", "uniformization"),
             "transient": ("expm", "uniformization"),
             "passage": ("expm", "uniformization"),
-            "ssa": ("auto", "batched", "direct", "next-reaction"),
+            "ssa": ("direct", "next-reaction"),
             "ode": ("rk4", "scipy"),
         }
         # The derive capability is registered by the pepa frontend on
@@ -64,7 +63,6 @@ class TestDiscovery:
             ("steady", "direct", "sparse"),
             ("steady", "power", "uniformization"),
             ("ssa", "gillespie", "direct"),
-            ("ssa", "ssa.batched", "batched"),
             ("passage", "dense", "expm"),
         ],
     )
@@ -154,14 +152,8 @@ class TestFallbackChains:
         assert fallback_chain("passage") == ("expm", "uniformization")
         assert fallback_chain("ode") == ("scipy", "rk4")
         # Stochastic backends with distinct RNG streams are never
-        # silently substituted; batched -> direct is safe because the
-        # kernels are bit-identical, so the chain only changes speed.
-        assert fallback_chain("ssa") == ("batched", "direct")
-
-    def test_retry_policy_validation(self):
-        assert RetryPolicy().attempts == 1
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
+        # silently substituted, and ``direct`` picks its own kernel.
+        assert fallback_chain("ssa") == ()
 
     def test_exhausted_chain_reraises_first_error(self):
         # An absorbing chain defeats every steady backend the same way;

@@ -1,5 +1,6 @@
-"""The batched SSA ensemble kernels: bit-identity against the scalar
-oracle, compaction, the fallback chain, and the trust-layer checks."""
+"""The batched SSA ensemble kernels every default ``ssa`` ensemble runs
+on: bit-identity against the scalar oracle, compaction, the in-backend
+scalar fallback, and the trust-layer checks."""
 
 from __future__ import annotations
 
@@ -8,24 +9,27 @@ import pytest
 import scipy.sparse as sp
 
 from repro import engine
-from repro.engine import faults
+from repro.engine import faults, get_registry
 from repro.engine.executor import spawn_seeds
 from repro.errors import (
+    BackendError,
     BatchedKernelError,
     NumericalTrustError,
     SimulationLimitError,
 )
 from repro.ir import MarkovIR, ReactionIR, solve
+from repro.ir.backends import ssa_batched
 from repro.ir.backends.ssa import (
+    MARKOV_EVENT_BUDGET,
+    REACTION_EVENT_BUDGET,
     EnsembleMoments,
+    ensemble_moments,
+    markov_path,
     occupancy_run,
     reaction_run,
+    reaction_trajectory,
 )
-from repro.ir.backends.ssa_batched import (
-    ensemble_moments_batched,
-    markov_occupancy_chunk,
-    reaction_chunk,
-)
+from repro.ir.backends.ssa_batched import markov_occupancy_chunk, reaction_chunk
 from repro.ir import guards
 
 from tests.ir.test_ssa_core import (
@@ -96,18 +100,28 @@ def assert_identical(a: EnsembleMoments, b: EnsembleMoments) -> None:
     assert a.chunks == b.chunks
 
 
-def ensembles(ir, grid, n_runs=60, seed=17, **params):
-    scalar = solve(ir, "ssa", backend="direct", mode="ensemble",
-                   times=grid, n_runs=n_runs, seed=seed, **params)
-    batched = solve(ir, "ssa", backend="batched", mode="ensemble",
-                    times=grid, n_runs=n_runs, seed=seed, **params)
-    return scalar, batched
+def oracle(ir, grid, n_runs, seed):
+    """The scalar steppers through the shared ensemble driver."""
+    if isinstance(ir, MarkovIR):
+        return ensemble_moments(occupancy_run, (ir, None), grid, n_runs, seed)
+    return ensemble_moments(reaction_run, ir, grid, n_runs, seed)
+
+
+def default(ir, grid, n_runs, seed):
+    return solve(ir, "ssa", mode="ensemble", times=grid, n_runs=n_runs,
+                 seed=seed)
+
+
+def ensembles(ir, grid, n_runs=60, seed=17):
+    """(scalar oracle, default path) for one seeded ensemble."""
+    return oracle(ir, grid, n_runs, seed), default(ir, grid, n_runs, seed)
 
 
 class TestBitIdentity:
     def test_markov_occupancy(self):
         scalar, batched = ensembles(ring_ir_with_table(), GRID)
         assert_identical(scalar, batched)
+        assert scalar.meta["kernel"] == "scalar"
         assert batched.meta["kernel"] == "batched"
 
     @pytest.mark.parametrize("sampler", ["choice", "scan"])
@@ -134,7 +148,9 @@ class TestBitIdentity:
         # Kernel-level: every padded-table path equals the scalar stepper's.
         ir = ring_ir_with_table()
         seeds = spawn_seeds(23, 9)
-        runs, events = markov_occupancy_chunk(ir, GRID, seeds, initial=None)
+        runs, events = markov_occupancy_chunk(
+            (ir, None), GRID, seeds, MARKOV_EVENT_BUDGET
+        )
         for occ, n_events, s in zip(runs, events, seeds):
             ref_occ, ref_events = occupancy_run(
                 (ir, None), GRID, np.random.default_rng(s)
@@ -146,7 +162,7 @@ class TestBitIdentity:
     def test_per_trajectory_oracle_reaction(self, sampler):
         ir = immigration_death_ir(sampler)
         seeds = spawn_seeds(29, 9)
-        runs, events = reaction_chunk(ir, GRID, seeds)
+        runs, events = reaction_chunk(ir, GRID, seeds, REACTION_EVENT_BUDGET)
         for counts, n_events, s in zip(runs, events, seeds):
             ref_counts, ref_events = reaction_run(
                 ir, GRID, np.random.default_rng(s)
@@ -155,13 +171,13 @@ class TestBitIdentity:
             assert n_events == ref_events
 
     def test_parallel_equals_sequential(self):
+        # 260 runs: three batched tasks, the last one short.
         ir = immigration_death_ir()
-        sequential = solve(ir, "ssa", backend="batched", mode="ensemble",
-                           times=GRID, n_runs=60, seed=31)
+        sequential = default(ir, GRID, 260, 31)
         with engine.parallel(workers=2):
-            parallel = solve(ir, "ssa", backend="batched", mode="ensemble",
-                             times=GRID, n_runs=60, seed=31)
+            parallel = default(ir, GRID, 260, 31)
         assert_identical(sequential, parallel)
+        assert_identical(oracle(ir, GRID, 260, 31), parallel)
 
 
 class TestFrontends:
@@ -228,85 +244,143 @@ class TestFrontends:
         assert_identical(scalar, batched)
 
 
+def _corpus():
+    """Every bundled PEPA model and the Bio-PEPA / GPEPA examples."""
+    from repro.pepa.models import MODEL_NAMES
+
+    cases = [("pepa", name) for name in MODEL_NAMES]
+    cases += [("biopepa", "enzyme_kinetics_model"),
+              ("biopepa", "enzyme_with_inhibitor_model"),
+              ("gpepa", "client_server_power"),
+              ("gpepa", "client_server_scalability")]
+    return cases
+
+
+def _lower(formalism, name):
+    if formalism == "pepa":
+        from repro.pepa import ctmc_of, derive
+        from repro.pepa.models import get_model
+
+        return ctmc_of(derive(get_model(name))).lower()
+    if formalism == "biopepa":
+        from repro.biopepa import examples
+        from repro.biopepa.lower import lower_reactions
+
+        return lower_reactions(getattr(examples, name)())
+    from repro.gpepa import examples
+    from repro.gpepa.lower import lower_reactions
+
+    return lower_reactions(getattr(examples, name)())
+
+
+@pytest.mark.parametrize("formalism, name", _corpus())
+def test_default_digest_equals_oracle_on_the_corpus(formalism, name):
+    from repro.engine.run_manifest import result_digest
+
+    ir = _lower(formalism, name)
+    grid = np.linspace(0.0, 2.0, 9)
+    scalar, served = ensembles(ir, grid, n_runs=30, seed=2019)
+    assert served.meta["kernel"] == "batched"
+    assert result_digest(served) == result_digest(scalar)
+
+
 class TestFallbackChain:
+    """The batched -> scalar fallback, taken inside the ``direct``
+    backend: there is no registry chain and no backend to name."""
+
     def test_trajectory_mode_falls_back_to_scalar(self):
-        # The batched kernel serves ensembles only; a trajectory request
-        # through it must resolve to the scalar stepper's exact result.
+        # The kernels serve ensembles only; trajectories run the scalar
+        # steppers with the exact same stream.
         ir = immigration_death_ir()
-        direct = solve(ir, "ssa", backend="direct", times=GRID, seed=42)
-        routed = solve(ir, "ssa", backend="batched", times=GRID, seed=42)
-        np.testing.assert_array_equal(routed.counts, direct.counts)
-        assert routed.n_events == direct.n_events
+        path = solve(ir, "ssa", times=GRID, seed=42)
+        ref = reaction_trajectory(ir, GRID, np.random.default_rng(42))
+        np.testing.assert_array_equal(path.counts, ref.counts)
+        assert path.n_events == ref.n_events
+        ring = ring_ir_with_table()
+        jumps = solve(ring, "ssa", times=GRID, seed=42)
+        ref = markov_path(ring, GRID, np.random.default_rng(42))
+        np.testing.assert_array_equal(jumps.states, ref.states)
 
     def test_self_check_rejects_lying_evaluator(self):
-        ir = lying_ir()
         with pytest.raises(BatchedKernelError, match="disagrees"):
-            ensemble_moments_batched("reaction", ir, GRID, 10, seed=3)
+            ensemble_moments(reaction_chunk, lying_ir(), GRID, 10, seed=3,
+                             max_events=REACTION_EVENT_BUDGET)
 
     def test_lying_evaluator_degrades_to_oracle(self):
-        # Through the registry the self-check failure is recoverable:
-        # the chain re-solves on ``direct`` and the numbers match the
-        # scalar law exactly.
-        scalar = solve(immigration_death_ir(), "ssa", backend="direct",
-                       mode="ensemble", times=GRID, n_runs=30, seed=13)
-        degraded = solve(lying_ir(), "ssa", backend="batched",
-                         mode="ensemble", times=GRID, n_runs=30, seed=13)
+        # The self-check failure never reaches the caller: the backend
+        # re-runs the ensemble on the scalar stepper, whose numbers are
+        # the scalar law's exactly.
+        reg = get_registry()
+        before = reg.counter("ir.ssa.scalar_fallback")
+        scalar = oracle(immigration_death_ir(), GRID, 30, 13)
+        degraded = default(lying_ir(), GRID, 30, 13)
         np.testing.assert_array_equal(degraded.mean, scalar.mean)
         np.testing.assert_array_equal(degraded.var, scalar.var)
-        assert degraded.meta.get("fallback_from") == "batched"
+        assert degraded.meta["kernel"] == "scalar"
+        assert "fallback_from" not in degraded.meta
+        assert reg.counter("ir.ssa.scalar_fallback") == before + 1
 
-    def test_auto_selects_batched_for_ensembles(self):
-        ir = immigration_death_ir()
-        auto = solve(ir, "ssa", backend="auto", mode="ensemble",
-                     times=GRID, n_runs=30, seed=19)
-        batched = solve(ir, "ssa", backend="batched", mode="ensemble",
-                        times=GRID, n_runs=30, seed=19)
-        assert auto.meta["kernel"] == "batched"
-        assert_identical(auto, batched)
+    def test_table_limit_degrades_to_oracle(self, monkeypatch):
+        monkeypatch.setattr(ssa_batched, "_TABLE_ENTRY_LIMIT", 0)
+        scalar, served = ensembles(ring_ir_with_table(), GRID, n_runs=30)
+        assert_identical(scalar, served)
+        assert served.meta["kernel"] == "scalar"
+        assert served.meta["manifest"].backend["kernel"] == "scalar"
 
-    def test_auto_selects_scalar_for_trajectories(self):
-        ir = immigration_death_ir()
-        auto = solve(ir, "ssa", backend="auto", times=GRID, seed=21)
-        direct = solve(ir, "ssa", backend="direct", times=GRID, seed=21)
-        np.testing.assert_array_equal(auto.counts, direct.counts)
+    @pytest.mark.parametrize("kind", ["reaction", "markov"])
+    def test_default_selects_batched_for_ensembles(self, kind):
+        ir = immigration_death_ir() if kind == "reaction" else ring_ir_with_table()
+        served = default(ir, GRID, 30, 19)
+        assert served.meta["kernel"] == "batched"
+        manifest = served.meta["manifest"]
+        assert manifest.backend["used"] == "direct"
+        assert manifest.backend["kernel"] == "batched"
+        assert "kernel" not in manifest.chunks
 
-    def test_chaos_sentinel_violation_degrades_identically(self):
-        # Fault injection in the trust layer: the batched result is
-        # quarantined, the chain re-solves on the oracle, and the served
-        # numbers are the scalar kernel's.
+    def test_next_reaction_runs_the_scalar_kernel(self):
+        served = solve(immigration_death_ir(), "ssa", backend="next-reaction",
+                       mode="ensemble", times=GRID, n_runs=30, seed=19)
+        assert served.meta["kernel"] == "scalar"
+
+    @pytest.mark.parametrize("name", ["batched", "ssa.batched", "auto"])
+    def test_removed_backends_rejected(self, name):
+        with pytest.raises(BackendError) as info:
+            solve(immigration_death_ir(), "ssa", backend=name,
+                  mode="ensemble", times=GRID, n_runs=5, seed=1)
+        assert str(info.value) == (
+            f"no 'ssa' backend named {name!r}; available: "
+            "['direct', 'next-reaction']"
+        )
+
+    def test_chaos_sentinel_violation_raises(self):
+        # A quarantined default ensemble is not re-run on the scalar
+        # stepper: both kernels give the same bits, so a re-run could
+        # only hide a bit-identity defect.  The violation surfaces.
         ir = immigration_death_ir()
-        scalar = solve(ir, "ssa", backend="direct", mode="ensemble",
-                       times=GRID, n_runs=30, seed=37)
         with faults.inject(
-            faults.FaultSpec("sentinel_violation", backend="batched")
+            faults.FaultSpec("sentinel_violation", backend="direct")
         ) as plan:
-            served = solve(ir, "ssa", backend="batched", mode="ensemble",
-                           times=GRID, n_runs=30, seed=37)
+            with pytest.raises(NumericalTrustError):
+                default(ir, GRID, 30, 37)
             assert plan.fired("sentinel_violation") == 1
-        np.testing.assert_array_equal(served.mean, scalar.mean)
-        np.testing.assert_array_equal(served.var, scalar.var)
-        assert served.meta.get("fallback_from") == "batched"
 
 
 class TestBudgetAndGuards:
     def test_batched_ensemble_honors_budget(self):
         ir = immigration_death_ir()
         with pytest.raises(SimulationLimitError, match="exceeded 3 events"):
-            ensemble_moments_batched(
-                "reaction", ir, np.linspace(0.0, 100.0, 3), 8, seed=0,
-                max_events=3,
-            )
+            solve(ir, "ssa", mode="ensemble", times=np.linspace(0.0, 100.0, 3),
+                  n_runs=8, seed=0, max_events=3)
 
     def test_chunk_structure_sentinel(self):
         # A kernel that merged runs into the wrong number of chunks
         # would break seeded replication; the trust layer rejects it.
         ir = immigration_death_ir()
-        good = solve(ir, "ssa", backend="batched", mode="ensemble",
-                     times=GRID, n_runs=30, seed=5)
+        good = default(ir, GRID, 30, 5)
         bad = EnsembleMoments(
             times=good.times, mean=good.mean, var=good.var,
             n_runs=good.n_runs, events=good.events,
             chunks=good.chunks + 1, meta={},
         )
         with pytest.raises(NumericalTrustError, match="chunk"):
-            guards.verify("ssa", "batched", ir, bad, {})
+            guards.verify("ssa", "direct", ir, bad, {})

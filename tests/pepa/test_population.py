@@ -254,8 +254,32 @@ class TestRegistry:
         # When the aggregated space itself blows the budget the chain
         # walks to explicit, which is even larger: the original limit
         # error must surface rather than a masked secondary failure.
+        from repro.engine.metrics import get_registry
+
+        reg = get_registry()
+        exhausted = reg.counter("ir.fallback.exhausted")
         with pytest.raises(StateSpaceLimitError):
             solve(pc_lan(100), "derive", backend="population", max_states=50)
+        # The derive chain declares the limit error recoverable, so it
+        # was walked (and exhausted) rather than skipped.
+        assert reg.counter("ir.fallback.exhausted") == exhausted + 1
+
+    def test_population_derive_is_cached_once(self):
+        from repro.engine import cache_override, get_cache
+        from repro.engine.metrics import get_registry
+        from repro.ir import solve
+
+        reg = get_registry()
+        model = pc_lan(4)
+        with cache_override(True):
+            get_cache().clear()
+            misses, hits = reg.counter("cache.miss"), reg.counter("cache.hit")
+            solve(model, "derive", backend="population")
+            assert reg.counter("cache.miss") == misses + 1
+            assert reg.counter("cache.hit") == hits
+            solve(model, "derive", backend="population")
+            assert reg.counter("cache.miss") == misses + 1
+            assert reg.counter("cache.hit") == hits + 1
 
 
 class TestTrustSentinels:

@@ -81,6 +81,27 @@ class TestExecuteSpec:
         _, _, second = execute_spec(spec)
         assert first == second
 
+    def test_ssa_job_runs_the_batched_kernel(self):
+        from repro.biopepa.examples import enzyme_kinetics_source
+        from repro.engine.run_manifest import result_digest
+        from repro.ir.backends.ssa import ensemble_moments, reaction_run
+        from repro.manifest import lower_for_capability
+
+        params = {"mode": "ensemble", "times": [0.0, 1.0, 2.0],
+                  "n_runs": 100, "seed": 5}
+        spec = JobSpec(kind="solve", formalism="biopepa",
+                       source=enzyme_kinetics_source(), capability="ssa",
+                       params=params)
+        result, manifest, digest = execute_spec(spec)
+        assert result.meta["kernel"] == "batched"
+        assert manifest.backend["kernel"] == "batched"
+        ir, _ = lower_for_capability(
+            "biopepa", enzyme_kinetics_source(), "ssa"
+        )
+        oracle = ensemble_moments(reaction_run, ir, np.array(params["times"]),
+                                  100, 5)
+        assert digest == result_digest(oracle)
+
 
 class TestEncodeResult:
     def test_json_safe_values_pass_through(self):

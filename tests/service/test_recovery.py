@@ -26,11 +26,12 @@ from repro.service import JobSpec, ServiceClient
 
 DECAY_SRC = "k = 0.3;\nkineticLawOf d : fMA(k);\nA = (d, 1) << A;\nA[40]\n"
 
-#: 150 runs / CHUNK_RUNS=25 -> 6 checkpointable task units.
+#: 600 runs / 100 runs per batched-kernel task (CHUNK_RUNS=25 x
+#: BATCH_CHUNKS=4) -> 6 checkpointable task units.
 ENSEMBLE_PARAMS = {
     "mode": "ensemble",
     "times": [0.0, 1.0, 2.0, 3.0, 4.0],
-    "n_runs": 150,
+    "n_runs": 600,
     "seed": 7,
 }
 

@@ -3,6 +3,7 @@ property — replay bit-identity, verified in *fresh* subprocesses so no
 warm in-process state (caches, imports, RNG pools) can mask divergence.
 """
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -30,6 +31,7 @@ from repro.manifest import (
 from repro.pepa.models import get_source
 
 GRID = list(np.linspace(0.0, 4.0, 17))
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 _SRC_ROOT = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
 
@@ -188,27 +190,34 @@ class TestReplay:
         assert_array_equal(report.result.cdf, result.cdf)
 
     def test_fallback_chain_run_replays_on_backend_used(self, tmp_path):
-        # Force the batched SSA kernel to fail its trust check: the
-        # registry degrades to the scalar oracle, and the manifest must
-        # record that chain so an unperturbed replay solves directly on
-        # the backend that actually produced the numbers.
+        # Force the population derivation to fail its trust check: the
+        # registry degrades to explicit, the derive dispatch records that
+        # chain, and the solve's manifest names the strategy that ran so
+        # an unperturbed replay derives the same chain.
+        from repro.ir import solve
+        from repro.pepa import parse_model
+
         with faults.inject(
-            faults.FaultSpec("sentinel_violation", backend="batched")
+            faults.FaultSpec("sentinel_violation", backend="population", times=2)
         ) as plan:
+            solve(parse_model(get_source("pc_lan_4")), "derive",
+                  backend="population")
+            derive = last_manifest()
             result = run_from_source(
-                "biopepa", enzyme_kinetics_source(), "ssa", backend="batched",
-                mode="ensemble", times=GRID, n_runs=30, seed=13,
+                "pepa", get_source("pc_lan_4"), "steady",
+                derive_backend="population",
             )
-            assert plan.fired("sentinel_violation") == 1
+            assert plan.fired("sentinel_violation") == 2
+        assert derive.backend["requested"] == "population"
+        assert derive.backend["used"] == "explicit"
+        assert derive.backend["chain"] == ["population", "explicit"]
+        assert derive.backend["fallback_error"]
         manifest = result.meta["manifest"]
-        assert manifest.backend["requested"] == "batched"
-        assert manifest.backend["used"] == "direct"
-        assert manifest.backend["chain"] == ["batched", "direct"]
-        assert manifest.backend["fallback_error"]
+        assert manifest.model["derive_backend"] == "explicit"
         path = manifest.save(tmp_path / "fallback.json")
         report = replay(path, verify=True)
         assert report.verified
-        assert_array_equal(report.result.mean, result.mean)
+        assert_array_equal(report.result.pi, result.pi)
 
     def test_sweep_manifest_documents_but_does_not_replay(self):
         from repro.pepa import parse_model, sweep, throughput
@@ -249,24 +258,65 @@ class TestFreshProcessVerification:
 
     def test_batched_ssa_ensemble(self, tmp_path):
         result = run_from_source(
-            "biopepa", enzyme_kinetics_source(), "ssa", backend="batched",
+            "biopepa", enzyme_kinetics_source(), "ssa",
             mode="ensemble", times=GRID, n_runs=60, seed=17,
         )
         manifest = result.meta["manifest"]
-        assert manifest.chunks.get("kernel") == "batched"
+        assert manifest.backend["kernel"] == "batched"
+        assert "kernel" not in manifest.chunks
         path = manifest.save(tmp_path / "batched.json")
         _verify_in_fresh_process(path)
 
-    def test_fallback_chain_ensemble(self, tmp_path):
+    def test_fallback_chain_solve(self, tmp_path):
         with faults.inject(
-            faults.FaultSpec("sentinel_violation", backend="batched")
+            faults.FaultSpec("sentinel_violation", backend="population")
         ):
             result = run_from_source(
-                "biopepa", enzyme_kinetics_source(), "ssa", backend="batched",
-                mode="ensemble", times=GRID, n_runs=30, seed=23,
+                "pepa", get_source("pc_lan_4"), "steady",
+                derive_backend="population",
             )
         path = result.meta["manifest"].save(tmp_path / "fallback.json")
         _verify_in_fresh_process(path)
+
+    def test_default_ssa_manifest_of_the_scalar_kernel_verifies(self):
+        """A manifest written when the default ``ssa`` path still ran the
+        scalar stepper (enzyme, 100 runs; kept verbatim except for the
+        observational ``platform.executable``) replays bit-for-bit on
+        the batched kernel.  ``environment`` is part of the identity, so
+        the replay adopts this process's numerical-stack fingerprint."""
+        from repro.engine.environment import environment_fingerprint
+
+        manifest = load_manifest(FIXTURES / "enzyme_ssa_ensemble_manifest.json")
+        assert manifest.backend["used"] == "direct"
+        assert "kernel" not in manifest.backend
+        manifest = dataclasses.replace(
+            manifest, environment=environment_fingerprint()
+        )
+        report = replay(manifest, verify=True)
+        assert report.verified
+        assert report.replay_manifest.backend["kernel"] == "batched"
+
+    @pytest.mark.parametrize("name", ["batched", "auto"])
+    def test_replay_of_removed_ssa_backend_fails_in_one_line(
+        self, tmp_path, name
+    ):
+        data = json.loads(
+            (FIXTURES / "enzyme_ssa_ensemble_manifest.json").read_text()
+        )
+        data["backend"]["requested"] = data["backend"]["used"] = name
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=_SRC_ROOT)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "replay", str(path), "--verify"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines() == [
+            f"error: no 'ssa' backend named {name!r}; available: "
+            "['direct', 'next-reaction']"
+        ]
 
     def test_replay_verifies_across_transports(self, tmp_path):
         result = run_from_source(
