@@ -125,8 +125,10 @@ def _compute_finishing_time(
     model = build_machine_model(mapping, machine, workload, absorbing=True)
     chain = ctmc_of(derive(model))
     target = (MACHINE_LEAF, DONE_STATE)
-    mean = passage_time_mean(chain, target)
     if times is None:
+        # The passage solution carries the exact mean; solve for it
+        # separately only when it has to set the grid first.
+        mean = passage_time_mean(chain, target)
         times = np.linspace(0.0, horizon_means * mean, grid_points)
     result = passage_time_cdf(chain, target, times, method=method)
     return FinishingTime(

@@ -28,14 +28,16 @@ __all__ = ["population_ctmc", "PopulationCTMC"]
 
 
 @dataclass(frozen=True)
-class PopulationCTMC:
-    """A CTMC over population vectors.
+class VectorChain:
+    """A CTMC whose states are species vectors, analysed through the
+    backend registry (the shared base of the population and levels
+    chains).
 
     Attributes
     ----------
     states:
-        ``states[k]`` is the population vector of state ``k`` (species
-        order as in the model); state 0 is the initial populations.
+        ``states[k]`` is the vector of state ``k`` (species order as in
+        the model); state 0 is the initial one.
     generator:
         Sparse generator in the row convention.
     """
@@ -43,7 +45,9 @@ class PopulationCTMC:
     model: BioModel
     states: np.ndarray
     generator: sp.csr_matrix
-    _ir: MarkovIR | None = field(default=None, repr=False, compare=False)
+    _ir: MarkovIR | None = field(
+        default=None, repr=False, compare=False, kw_only=True
+    )
 
     @property
     def n_states(self) -> int:
@@ -52,7 +56,7 @@ class PopulationCTMC:
     def lower(self) -> MarkovIR:
         """Lower to the labelled-CTMC IR (memoized per chain).
 
-        Population vectors label the states; the generator is already
+        The state vectors label the states; the generator is already
         aggregated, and no per-transition table is needed (the SSA runs
         on the reaction IR, not on the explicit chain).
         """
@@ -67,12 +71,12 @@ class PopulationCTMC:
             )
         return self._ir
 
-    def state_index(self, populations: Sequence[float]) -> int:
-        """Index of an exact population vector (raises if unreachable)."""
-        key = np.asarray(populations, dtype=np.int64)
+    def state_index(self, vector: Sequence[float]) -> int:
+        """Index of an exact state vector (raises if unreachable)."""
+        key = np.asarray(vector, dtype=np.int64)
         matches = np.nonzero((self.states == key).all(axis=1))[0]
         if matches.size == 0:
-            raise KeyError(f"population vector {key.tolist()} is not reachable")
+            raise KeyError(f"state vector {key.tolist()} is not reachable")
         return int(matches[0])
 
     def steady_state(self, method: str = "direct") -> SteadyStateResult:
@@ -80,6 +84,12 @@ class PopulationCTMC:
 
     def transient(self, times: Sequence[float], pi0: np.ndarray | None = None) -> np.ndarray:
         return solve(self.lower(), "transient", times=times, pi0=pi0)
+
+
+@dataclass(frozen=True)
+class PopulationCTMC(VectorChain):
+    """A CTMC over population vectors: ``states[k]`` holds molecule
+    counts, and state 0 is the initial populations."""
 
     def expected_population(self, distribution: np.ndarray, species: str) -> float:
         """Expected count of ``species`` under a state distribution."""

@@ -13,27 +13,29 @@ exactly with the molecule-count CTMC of :mod:`repro.biopepa.ctmc`
 limit.  Caps are enforced by *blocking*: a reaction that would push any
 species above its maximum level (or below zero) is disabled in that
 state — the boundary behaviour of the plug-in.
+
+Both chains share :class:`~repro.biopepa.ctmc.VectorChain`: they lower
+to :class:`repro.ir.MarkovIR` and solve through the backend registry.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.biopepa.ctmc import VectorChain
 from repro.biopepa.model import BioModel
 from repro.errors import BioPepaError, StateSpaceLimitError
-from repro.numerics.steady import SteadyStateResult, steady_state
-from repro.numerics.transient import transient_distribution
 
 __all__ = ["levels_ctmc", "LevelsCTMC"]
 
 
 @dataclass(frozen=True)
-class LevelsCTMC:
+class LevelsCTMC(VectorChain):
     """A CTMC over species-level vectors.
 
     Attributes
@@ -47,35 +49,12 @@ class LevelsCTMC:
         Per-species level cap, aligned with the species order.
     """
 
-    model: BioModel
-    states: np.ndarray
-    generator: sp.csr_matrix
     step: float
     max_levels: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return self.states.shape[0]
 
     def concentrations(self, state_index: int) -> np.ndarray:
         """Continuous concentrations of one state."""
         return self.states[state_index] * self.step
-
-    def state_index(self, levels: Sequence[int]) -> int:
-        key = np.asarray(levels, dtype=np.int64)
-        matches = np.nonzero((self.states == key).all(axis=1))[0]
-        if matches.size == 0:
-            raise KeyError(f"level vector {key.tolist()} is not reachable")
-        return int(matches[0])
-
-    def steady_state(self, method: str = "direct") -> SteadyStateResult:
-        return steady_state(self.generator, method=method)
-
-    def transient(self, times: Sequence[float], pi0: np.ndarray | None = None) -> np.ndarray:
-        if pi0 is None:
-            pi0 = np.zeros(self.n_states)
-            pi0[0] = 1.0
-        return transient_distribution(self.generator, pi0, times)
 
     def expected_concentration(self, distribution: np.ndarray, species: str) -> float:
         """Expected concentration of ``species`` under a distribution."""

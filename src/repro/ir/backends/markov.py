@@ -1,12 +1,10 @@
 """CTMC solver backends: steady-state, transient, and passage time.
 
 Thin adapters from :class:`~repro.ir.markov.MarkovIR` onto the shared
-numerics.  ``steady`` delegates to :func:`repro.numerics.steady_state`,
-which carries its own metrics timer and content-addressed cache (keyed
-on the generator), so those registrations opt out of the registry-level
-cache — one cache layer per solve, never two.  ``transient`` and
-``passage`` are pure functions of the IR and their parameters and cache
-at the registry level under ``ir.transient`` / ``ir.passage``.
+numerics.  All three capabilities cache at the registry level under
+``ir.steady`` / ``ir.transient`` / ``ir.passage``; the numerics below
+cache nothing.  Only the ``sparse`` steady backend holds a sparse LU,
+so only its results carry a condition estimate.
 """
 
 from __future__ import annotations
@@ -59,22 +57,16 @@ register_backend(
     _steady("direct"),
     accepts=(MarkovIR,),
     aliases=("direct",),
-    cache=False,
     default=True,
 )
-register_backend(
-    "steady", "dense", _steady("dense"), accepts=(MarkovIR,), cache=False
-)
-register_backend(
-    "steady", "gmres", _steady("gmres"), accepts=(MarkovIR,), cache=False
-)
+register_backend("steady", "dense", _steady("dense"), accepts=(MarkovIR,))
+register_backend("steady", "gmres", _steady("gmres"), accepts=(MarkovIR,))
 register_backend(
     "steady",
     "uniformization",
     _steady("power"),
     accepts=(MarkovIR,),
     aliases=("power",),
-    cache=False,
 )
 
 # An iterative steady solve that fails to converge falls back to the

@@ -25,7 +25,8 @@ Diagnostics
     truncation mass, integrator statistics) attached to the result's
     ``meta["diagnostics"]`` when it has a ``meta`` dict, retrievable via
     :func:`last_diagnostics` otherwise, and surfaced by ``repro solve
-    --diagnostics``.
+    --diagnostics``.  The steady condition estimate is the one the
+    result carries from its solver's LU; this module never factorizes.
 
 Shadow verification
     The cheap production analogue of the paper's container-vs-native
@@ -330,15 +331,6 @@ def _rate_scale(ir: MarkovIR) -> float:
     return max(1.0, float(diag_abs.max()) if diag_abs.size else 1.0)
 
 
-def _condition_memo(ir: MarkovIR) -> float | None:
-    memo = getattr(ir, "_trust_condition", "unset")
-    if memo != "unset":
-        return memo
-    kappa = diag.condition_estimate(ir.generator)
-    object.__setattr__(ir, "_trust_condition", kappa)
-    return kappa
-
-
 def _check_steady(capability, backend, ir, result, params) -> dict:
     _check_generator(capability, backend, ir)
     pi = np.asarray(result.pi, dtype=np.float64)
@@ -366,7 +358,7 @@ def _check_steady(capability, backend, ir, result, params) -> dict:
         "residual": residual,
         "reported_residual": float(getattr(result, "residual", math.nan)),
         "iterations": int(getattr(result, "iterations", 0)),
-        "condition_estimate": _condition_memo(ir),
+        "condition_estimate": getattr(result, "condition_estimate", None),
         "mass_error": simplex["mass_error"],
         "min_probability": float(pi.min()) if pi.size else 0.0,
         "n_states": ir.n_states,

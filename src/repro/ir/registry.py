@@ -21,11 +21,11 @@ generator well-formedness like any other Markov result.
 accepts the IR's type, and wraps the call in the engine's metrics timer
 (``ir.<capability>``) and — for deterministic capabilities — the
 content-addressed cache under the uniform namespace ``ir.<capability>``,
-keyed on ``(IR, backend, parameters)``.  Capabilities that already cache
-at a lower level (``steady`` delegates to
-:func:`repro.numerics.steady_state`) or that must not cache (``ssa``
-ensembles feed the engine's parallel fan-out and batch counters) opt
-out per registration.
+keyed on ``(IR digest, backend, parameters)`` — the digest the run
+manifest records, so a request hashes its model once.  The numerics
+below cache nothing.  Capabilities that must not cache (``derive``;
+``ssa`` ensembles feed the engine's parallel fan-out and batch
+counters) opt out per registration.
 
 Fallback chains
 ---------------
@@ -44,7 +44,8 @@ the walk for callers that need the raw failure.
 Numerical trust
 ---------------
 Every backend result — fresh or cached — passes the sentinels of
-:mod:`repro.ir.guards` before :func:`solve` returns it: probability
+:mod:`repro.ir.guards` before :func:`solve` returns it (and before the
+cache stores it, so a rejected answer is never served again): probability
 vectors on the simplex, generator rows summing to ~0, monotone CDFs,
 finite non-negative trajectories, conserved stoichiometric sums.  A
 violation raises :class:`~repro.errors.NumericalTrustError`, which is
@@ -196,28 +197,37 @@ def get_backend(capability: str, name: str | None = None) -> _Backend:
     return backend
 
 
+#: Key part of an IR without a digest: ``cached`` reports "uncacheable".
+_NO_DIGEST = object()
+
+
 def _execute(be: _Backend, ir, params: dict):
-    """One backend attempt: metrics timer plus (opt-in) result cache."""
+    """One backend attempt: metrics timer, sentinels and (opt-in) cache."""
     reg = get_registry()
     reg.increment(f"ir.{be.capability}.{be.name}")
     guards.reset_notes()
+
+    def compute():  # verified before the cache can store it
+        result = be.func(ir, **params)
+        guards.verify(be.capability, be.name, ir, result, params)
+        return result
+
     with reg.timer(f"ir.{be.capability}"):
         if be.cache and getattr(ir, "token", True) is not None:
             result, status = cached(
                 f"ir.{be.capability}",
-                (ir, be.name, params),
-                lambda: be.func(ir, **params),
+                (_ir_digest(ir) or _NO_DIGEST, be.name, params),
+                compute,
             )
+            if status == "hit":  # a stale entry is as suspect as a bad solve
+                guards.verify(be.capability, be.name, ir, result, params)
         else:
-            result, status = be.func(ir, **params), None
+            result, status = compute(), None
     meta = getattr(result, "meta", None)
     if isinstance(meta, dict):
         if status is not None:
             meta["cache"] = status
         meta["backend"] = be.name
-    # Sentinels run on every result, cached ones included — a corrupt or
-    # stale cache entry is exactly as untrustworthy as a bad solve.
-    guards.verify(be.capability, be.name, ir, result, params)
     return result
 
 
@@ -329,7 +339,7 @@ def solve(ir, capability: str, backend: str | None = None, fallback: bool = True
     """Run ``capability`` on ``ir`` with the selected ``backend``.
 
     Deterministic capabilities are cached under ``ir.<capability>``
-    keyed on ``(ir, backend, params)``; when the result carries a
+    keyed on ``(IR digest, backend, params)``; when the result carries a
     ``meta`` dict, its ``cache`` and ``backend`` entries record how this
     call was served.
 

@@ -130,11 +130,8 @@ def lower_and_resolve(
                 str(i) for i in range(ir.n_states)
             )
             return ir, labels, derive_backend
-        chain = ctmc_of(derive(model))
-        labels = tuple(
-            chain.space.state_label(i) for i in range(chain.n_states)
-        )
-        return chain.lower(), labels, None
+        ir = ctmc_of(derive(model)).lower()
+        return ir, ir.labels, None
     if derive_backend is not None:
         raise ReplayError(
             f"derive backend {derive_backend!r} only applies to the pepa "
@@ -145,8 +142,8 @@ def lower_and_resolve(
 
         model = parse_biopepa(source)
         if markov:
-            chain = population_ctmc(model)
-            return chain.lower(), chain.lower().labels, None
+            ir = population_ctmc(model).lower()
+            return ir, ir.labels, None
         from repro.biopepa.lower import lower_reactions
 
         ir = lower_reactions(model)

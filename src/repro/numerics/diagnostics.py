@@ -4,9 +4,10 @@ The trust layer (:mod:`repro.ir.guards`) attaches a small dictionary of
 quality measurements to every registry solve: residual norms, condition
 estimates, uniformization truncation mass, conservation defects.  This
 module owns the measurements themselves — each is a pure function of
-the generator / stoichiometry / result arrays, cheap relative to the
-solve it describes, and safe on degenerate inputs (it *reports*, never
-raises; deciding whether a number is acceptable is the sentinels' job).
+the generator / stoichiometry / result arrays (or of a solver's LU),
+cheap relative to the solve it describes, and safe on degenerate inputs
+(it *reports*, never raises; deciding whether a number is acceptable is
+the sentinels' job).
 
 Everything here sits below :mod:`repro.ir` in the import layering:
 ``ir -> numerics`` only.
@@ -31,8 +32,8 @@ __all__ = [
     "conservation_defect",
 ]
 
-#: Condition estimation factorizes the replaced steady-state system; skip
-#: it above this state count (the estimate would cost as much as a solve).
+#: Condition estimation is skipped above this state count, so the
+#: diagnostic stays a small fraction of the solve it describes.
 CONDITION_ESTIMATE_LIMIT = 5000
 
 
@@ -49,42 +50,34 @@ def steady_residual(Q: sp.spmatrix, pi: np.ndarray) -> float:
     return float(np.abs(r).max()) if r.size else 0.0
 
 
-def condition_estimate(Q: sp.spmatrix) -> float | None:
-    """1-norm condition estimate of the replaced steady-state system.
+def condition_estimate(A: sp.spmatrix, lu) -> float | None:
+    """1-norm condition number estimate ``kappa_1(A) = ‖A‖₁ ‖A⁻¹‖₁``.
 
-    ``kappa_1(A) ~ onenormest(A) * onenormest(A^-1)`` where ``A`` is the
-    normalization-replaced transpose actually factorized by the direct
-    solvers — the matrix whose conditioning governs how many digits of
-    the solve survive.  ``A^-1`` is never formed; its 1-norm is
-    estimated through an LU solve operator (Higham & Tisseur's block
-    algorithm, a handful of solves).
+    ``A`` is the normalization-replaced steady-state system and ``lu``
+    the sparse LU the direct solver has just computed for it, so the
+    estimate costs a few triangular solves, never a factorization.
+    ``‖A‖₁`` is exact (the largest absolute column sum); ``‖A⁻¹‖₁`` is
+    Higham & Tisseur's lower-bound estimate through the LU with one
+    probe column (``t=1``), which draws no random vectors: the estimate
+    is deterministic and leaves NumPy's global RNG untouched.
 
     Returns ``None`` when the system is too large
-    (:data:`CONDITION_ESTIMATE_LIMIT`), singular, or tiny (order < 2 —
-    ``onenormest`` needs a 2x2 or larger operator).
+    (:data:`CONDITION_ESTIMATE_LIMIT`), tiny (order < 2 — ``onenormest``
+    needs a 2x2 or larger operator), or the estimate is not finite.
     """
-    from repro.numerics.steady import _replaced_system
-
-    Q = sp.csr_matrix(Q, dtype=np.float64)
-    n = Q.shape[0]
+    n = A.shape[0]
     if n < 2 or n > CONDITION_ESTIMATE_LIMIT:
         return None
-    A, _b = _replaced_system(Q)
-    try:
-        lu = spla.splu(A)
-        # onenormest walks both A^-1 and its adjoint, so the operator
-        # needs rmatvec (a transposed LU solve) as well as matvec.
-        inv_op = spla.LinearOperator(
-            (n, n),
-            matvec=lu.solve,
-            rmatvec=lambda v: lu.solve(np.asarray(v, dtype=np.float64).ravel(), trans="T"),
-            dtype=np.float64,
-        )
-        norm_a = spla.onenormest(A)
-        norm_ainv = spla.onenormest(inv_op)
-    except (RuntimeError, ValueError):
-        return None
-    kappa = float(norm_a * norm_ainv)
+    norm_a = float(abs(A).sum(axis=0).max())
+    # onenormest walks both A^-1 and its adjoint, so the operator needs
+    # rmatvec (a transposed LU solve) as well as matvec.
+    inv_op = spla.LinearOperator(
+        (n, n),
+        matvec=lu.solve,
+        rmatvec=lambda v: lu.solve(np.asarray(v, dtype=np.float64).ravel(), trans="T"),
+        dtype=np.float64,
+    )
+    kappa = norm_a * float(spla.onenormest(inv_op, t=1))
     return kappa if np.isfinite(kappa) else None
 
 

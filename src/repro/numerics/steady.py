@@ -10,7 +10,8 @@ Three methods are provided, matching the ablation D1 in DESIGN.md:
 ``direct``
     Replace one balance equation by the normalization constraint and
     solve the resulting nonsingular sparse system with ``splu``.  The
-    workhorse for the state-space sizes PEPA's explicit engine reaches.
+    workhorse for the state-space sizes PEPA's explicit engine reaches;
+    it also estimates the system's condition number on that LU.
 ``gmres``
     Same replaced system solved iteratively with ILU-preconditioned
     GMRES.  Scales to larger sparse systems at some accuracy cost.
@@ -34,9 +35,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.engine import faults
-from repro.engine.cache import cached
 from repro.engine.metrics import get_registry
 from repro.errors import ConvergenceError, SingularGeneratorError
+from repro.numerics import diagnostics
 
 __all__ = ["steady_state", "SteadyStateResult", "validate_generator"]
 
@@ -61,18 +62,22 @@ class SteadyStateResult:
         Max-norm of ``pi @ Q`` — a direct measure of solution quality.
     iterations:
         Iteration count for iterative methods, 0 for the direct solver.
+    condition_estimate:
+        κ₁ of the replaced system, measured by ``direct`` on its own LU
+        (:func:`repro.numerics.diagnostics.condition_estimate`); ``None``
+        for the other methods.  Excluded from equality and hashing.
     meta:
-        Execution metadata filled by :func:`steady_state`: ``cache``
-        (``"hit"``/``"miss"``/``"off"``/``"uncacheable"``), ``method``
-        and ``n_states``.  Excluded from equality and content hashing —
-        volatile execution facts (cache status, manifests) must not
-        make two numerically identical results digest differently.
+        Execution metadata: ``method`` and ``n_states``, plus what the
+        registry records (``cache``, ``backend``, ``diagnostics``).
+        Excluded from equality and content hashing — volatile execution
+        facts must not make equal results digest differently.
     """
 
     pi: np.ndarray
     method: str
     residual: float
     iterations: int = 0
+    condition_estimate: float | None = field(default=None, compare=False)
     meta: dict = field(default_factory=dict, compare=False)
 
     def __getitem__(self, i: int) -> float:
@@ -131,14 +136,16 @@ def _replaced_system(Q: sp.csr_matrix) -> tuple[sp.csc_matrix, np.ndarray]:
     return A.tocsc(), b
 
 
-def _solve_direct(Q: sp.csr_matrix) -> tuple[np.ndarray, int]:
+def _solve_direct(Q: sp.csr_matrix) -> tuple[np.ndarray, float | None]:
+    """Sparse LU solve of the replaced system; returns ``(pi, kappa)``
+    with κ₁ measured on the same factorization."""
     A, b = _replaced_system(Q)
     try:
         lu = spla.splu(A)
         pi = lu.solve(b)
     except RuntimeError as exc:  # splu signals singularity this way
         raise SingularGeneratorError(f"direct solve failed: {exc}") from exc
-    return pi, 0
+    return pi, diagnostics.condition_estimate(A, lu)
 
 
 def _solve_dense(Q: sp.csr_matrix) -> tuple[np.ndarray, int]:
@@ -269,25 +276,20 @@ def steady_state(
             "the CTMC has no unique equilibrium"
         )
     with get_registry().timer("steady_state") as gauges:
-        result, status = cached(
-            "steady_state",
-            (Q, method, tol, maxiter),
-            lambda: _solve_and_check(Q, method, tol, maxiter, diag),
-        )
+        result = _solve_and_check(Q, method, tol, maxiter, diag)
         gauges["n_states"] = n
         gauges["iterations"] = result.iterations
     if faults.should_fire("solver_silent_garbage", backend=method) is not None:
-        # Injected *after* the cache block so the garbage never becomes a
-        # cached entry.  The vector is well-normalized and the reported
-        # residual is confidently tiny — the exact lie an exit-code check
-        # believes and the trust layer's recomputed residual does not.
+        # The vector is well-normalized and the reported residual is
+        # confidently tiny — the exact lie an exit-code check believes
+        # and the trust layer's recomputed residual does not.
         rigged = np.linspace(1.0, 2.0, n)
         rigged /= rigged.sum()
         result = SteadyStateResult(
             pi=rigged, method=method, residual=tol / 10.0,
             iterations=result.iterations,
         )
-    result.meta.update(cache=status, method=method, n_states=n)
+    result.meta.update(method=method, n_states=n)
     return result
 
 
@@ -297,8 +299,9 @@ def _solve_and_check(
     """Dispatch to the selected back-end and validate the solution."""
     if faults.should_fire("solver_nonconverge", backend=method) is not None:
         raise ConvergenceError(f"injected non-convergence for method {method!r}")
+    kappa, iters = None, 0
     if method == "direct":
-        pi, iters = _solve_direct(Q)
+        pi, kappa = _solve_direct(Q)
     elif method == "dense":
         pi, iters = _solve_dense(Q)
     elif method == "gmres":
@@ -322,4 +325,5 @@ def _solve_and_check(
         raise SingularGeneratorError(
             f"steady-state residual {residual:.3e} too large; generator may be reducible"
         )
-    return SteadyStateResult(pi=pi, method=method, residual=residual, iterations=iters)
+    return SteadyStateResult(pi=pi, method=method, residual=residual,
+                             iterations=iters, condition_estimate=kappa)

@@ -106,3 +106,46 @@ class TestCachingAndParallel:
                 par = makespan_cdf(MAPPING_A, workload, grid)
         np.testing.assert_array_equal(seq.cdf, par.cdf)
         assert seq.mean == par.mean
+
+
+class TestOneMeanSolvePerMachine:
+    def test_given_grid_skips_the_separate_mean_solve(
+        self, workload, grid, monkeypatch
+    ):
+        """With the grid given, each machine's exact mean comes from its
+        passage solution: one hitting-time solve per machine, and the
+        same bits as the product of the per-machine passage CDFs."""
+        import repro.ir.backends.markov as markov_backends
+        import repro.pepa.passage as passage
+        from repro.allocation.machines import (
+            DONE_STATE,
+            MACHINE_LEAF,
+            build_machine_model,
+        )
+        from repro.engine import cache_override
+        from repro.pepa import ctmc_of
+        from repro.pepa.statespace import derive
+
+        calls = []
+        real = markov_backends.expected_hitting_time
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(markov_backends, "expected_hitting_time", counting)
+        monkeypatch.setattr(passage, "expected_hitting_time", counting)
+        machines = [m for m in MACHINES if MAPPING_A.applications_on(m)]
+        with cache_override(False):
+            ms = makespan_cdf(MAPPING_A, workload, grid)
+            assert len(calls) == len(machines)
+            product = np.ones_like(grid)
+            for machine in machines:
+                model = build_machine_model(
+                    MAPPING_A, machine, workload, absorbing=True
+                )
+                product = product * passage.passage_time_cdf(
+                    ctmc_of(derive(model)), (MACHINE_LEAF, DONE_STATE), grid
+                ).cdf
+        np.testing.assert_array_equal(ms.cdf, product)
+        assert ms.mean == float(np.trapezoid(1.0 - product, grid))

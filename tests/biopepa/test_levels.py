@@ -39,6 +39,31 @@ class TestUnitStepEquivalence:
         )
 
 
+class TestRegistryRoute:
+    """Levels chains solve through the backend registry, like population
+    chains: same numbers, plus sentinels, manifests and the cache."""
+
+    def test_lower_is_memoized(self):
+        lc = levels_ctmc(reversible(4), step=0.5)
+        assert lc.lower() is lc.lower()
+        assert lc.lower().labels[0] == "8,0"
+
+    def test_steady_matches_population_ctmc(self):
+        model = reversible(5, kf=1.3, kr=0.7)
+        pc = population_ctmc(model).steady_state()
+        lc = levels_ctmc(model, step=1.0).steady_state()
+        np.testing.assert_array_equal(pc.pi, lc.pi)
+        assert lc.meta["diagnostics"]["capability"] == "steady"
+        assert lc.meta["manifest"].capability == "steady"
+
+    def test_transient_matches_population_ctmc(self):
+        model = reversible(5, kf=1.3, kr=0.7)
+        times = np.linspace(0.0, 3.0, 7)
+        pc = population_ctmc(model).transient(times)
+        lc = levels_ctmc(model, step=1.0).transient(times)
+        np.testing.assert_array_equal(pc, lc)
+
+
 class TestRefinement:
     def test_finer_step_more_states(self):
         model = reversible(4)

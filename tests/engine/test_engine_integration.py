@@ -74,7 +74,10 @@ class TestMetricsCounters:
         reg = get_registry()
         before = reg.snapshot()["timers"].get("steady_state", {}).get("calls", 0)
         model = get_model("pc_lan_4")
-        ctmc_of(derive(model)).steady_state()
+        # The registry cache sits above the solver: a hit never reaches
+        # the ``steady_state`` timer, so count a solve that runs.
+        with cache_override(False):
+            ctmc_of(derive(model)).steady_state()
         after = reg.snapshot()["timers"]["steady_state"]["calls"]
         assert after == before + 1
 

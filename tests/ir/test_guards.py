@@ -203,11 +203,12 @@ class TestChaosInjection:
         with faults.inject(faults.FaultSpec("solver_silent_garbage", times=1)):
             garbage_run = solve(ir, "steady", backend="gmres")
         assert garbage_run.meta["fallback_from"] == "gmres"
-        # The garbage was substituted *after* the content cache stored the
-        # clean gmres answer, so a later gmres solve — no fallback allowed —
-        # serves a vector that passes the sentinels.
+        # The registry stores a result only after the sentinels pass, so
+        # the rejected gmres garbage never became an entry: a later gmres
+        # solve — no fallback allowed — recomputes a vector that passes.
         again = solve(ir, "steady", backend="gmres", fallback=False)
         assert again.meta["backend"] == "gmres"
+        assert again.meta["cache"] != "hit"
         assert "fallback_from" not in again.meta
         assert np.allclose(again.pi, garbage_run.pi, atol=1e-8)
 

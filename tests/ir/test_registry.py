@@ -176,3 +176,139 @@ class TestFallbackChains:
             solve(ring_ir(), "steady", backend="gmres", bogus_option=1)
         assert reg.counter("ir.fallback.used") == used
         assert reg.counter("ir.fallback.exhausted") == exhausted
+
+
+def weighted_ring_ir(rates) -> MarkovIR:
+    """A ring whose per-state rates make its content (and cache key)
+    unique to the calling test."""
+    n = len(rates)
+    rows = list(range(n))
+    cols = [(i + 1) % n for i in range(n)]
+    Q = sp.coo_matrix((np.asarray(rates), (rows, cols)), shape=(n, n)).tolil()
+    Q.setdiag(-np.asarray(rates))
+    return MarkovIR(generator=Q.tocsr())
+
+
+class TestOneSteadyPath:
+    """Steady caches, hashes and factorizes once, in the registry."""
+
+    def test_default_steady_solve_factorizes_once(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        calls = []
+        real = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        with cache_override(False):
+            result = solve(ring_ir(6), "steady")
+        assert len(calls) == 1
+        assert result.meta["diagnostics"]["condition_estimate"] is not None
+
+    def test_steady_caches_in_the_registry(self):
+        ir = weighted_ring_ir([1.0, 2.5, 0.75, 3.125])
+        with cache_override(True):
+            first = solve(ir, "steady")
+            again = solve(
+                weighted_ring_ir([1.0, 2.5, 0.75, 3.125]), "steady"
+            )
+        assert first.meta["cache"] == "miss"
+        assert again.meta["cache"] == "hit"
+        np.testing.assert_array_equal(first.pi, again.pi)
+        get_cache().clear()
+
+    def test_cache_hit_carries_the_condition_estimate(self):
+        ir = weighted_ring_ir([0.5, 1.5, 2.75, 4.0, 1.25])
+        with cache_override(True):
+            first = solve(ir, "steady")
+            again = solve(ir, "steady")
+        assert again.meta["cache"] == "hit"
+        assert first.condition_estimate is not None
+        assert again.condition_estimate == first.condition_estimate
+        assert (
+            again.meta["diagnostics"]["condition_estimate"]
+            == first.condition_estimate
+        )
+        get_cache().clear()
+
+    def test_condition_estimate_stays_out_of_the_digest(self):
+        from repro.engine import canonical_key
+
+        result = solve(ring_ir(5), "steady")
+        blank = type(result)(
+            pi=result.pi, method=result.method, residual=result.residual,
+            iterations=result.iterations,
+        )
+        assert blank.condition_estimate is None
+        assert canonical_key("r", result) == canonical_key("r", blank)
+
+    @pytest.mark.parametrize("backend", ["dense", "gmres", "uniformization"])
+    def test_backends_without_a_sparse_lu_report_none(self, backend):
+        result = solve(ring_ir(5), "steady", backend=backend)
+        assert result.meta["diagnostics"]["condition_estimate"] is None
+
+    def test_steady_solve_leaves_the_global_rng_untouched(self):
+        np.random.seed(3)
+        before = np.random.get_state()
+        with cache_override(False):
+            solve(ring_ir(6), "steady")
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        np.testing.assert_array_equal(before[1], after[1])
+
+    def test_condition_estimate_does_not_depend_on_the_seed(self):
+        kappas = []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            with cache_override(False):
+                kappas.append(solve(ring_ir(6), "steady").condition_estimate)
+        assert kappas[0] is not None
+        assert kappas[0] == kappas[1]
+
+    def test_ir_without_a_digest_runs_uncached(self):
+        """Unhashable labels leave an IR without a digest; two such IRs
+        must not share a cache key."""
+        answers = []
+        with cache_override(True):
+            for rate in (1.0, 3.0):
+                Q = sp.csr_matrix(np.array([[-rate, rate], [1.0, -1.0]]))
+                ir = MarkovIR(generator=Q, labels=(object(), object()))
+                result = solve(ir, "steady")
+                assert result.meta["cache"] == "uncacheable"
+                answers.append(result.pi)
+        np.testing.assert_allclose(answers[0], [0.5, 0.5])
+        np.testing.assert_allclose(answers[1], [0.25, 0.75])
+
+    def test_rejected_result_is_recomputed_not_served(self, monkeypatch):
+        """A result the sentinels reject is never stored: the next
+        identical call runs the backend again."""
+        from repro.errors import NumericalTrustError
+        from repro.ir import registry
+
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        calls = []
+
+        def flaky(ir, *, times, pi0=None):
+            calls.append(1)
+            out = np.tile(ir.initial_distribution(), (len(times), 1))
+            if len(calls) == 1:
+                out[:, 0] = 2.0  # off the simplex
+            return out
+
+        registry.register_backend(
+            "transient", "flaky", flaky, accepts=(MarkovIR,)
+        )
+        ir = ring_ir(3)
+        times = [0.0, 1.0]
+        with cache_override(True):
+            with pytest.raises(NumericalTrustError, match="simplex"):
+                solve(ir, "transient", backend="flaky", fallback=False,
+                      times=times)
+            clean = solve(ir, "transient", backend="flaky", fallback=False,
+                          times=times)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(clean[:, 0], [1.0, 1.0])
+        get_cache().clear()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.numerics import diagnostics as diag
 
@@ -33,9 +34,18 @@ class TestSteadyResidual:
         assert diag.steady_residual(Q, np.empty(0)) == 0.0
 
 
+def factorized(Q: sp.spmatrix):
+    """The replaced steady-state system and its LU, as the direct solver
+    hands them to :func:`diag.condition_estimate`."""
+    from repro.numerics.steady import _replaced_system
+
+    A, _b = _replaced_system(sp.csr_matrix(Q, dtype=np.float64))
+    return A, spla.splu(A)
+
+
 class TestConditionEstimate:
     def test_well_conditioned_ring(self):
-        kappa = diag.condition_estimate(ring_Q(6))
+        kappa = diag.condition_estimate(*factorized(ring_Q(6)))
         assert kappa is not None
         assert 1.0 <= kappa < 1e4
 
@@ -51,17 +61,43 @@ class TestConditionEstimate:
                 ]
             )
         )
-        kappa = diag.condition_estimate(Q)
+        kappa = diag.condition_estimate(*factorized(Q))
         assert kappa is not None
         assert kappa > 1e6
 
     def test_tiny_system_returns_none(self):
         Q = sp.csr_matrix(np.array([[0.0]]))
-        assert diag.condition_estimate(Q) is None
+        assert diag.condition_estimate(*factorized(Q)) is None
 
     def test_oversized_system_returns_none(self, monkeypatch):
         monkeypatch.setattr(diag, "CONDITION_ESTIMATE_LIMIT", 3)
-        assert diag.condition_estimate(ring_Q(4)) is None
+        assert diag.condition_estimate(*factorized(ring_Q(4))) is None
+
+    def test_norm_of_a_is_the_exact_column_sum(self):
+        # ||A||_1 is computed exactly; on this small ring the ||A^-1||_1
+        # estimate is exact too, so kappa matches a dense inverse.
+        A, lu = factorized(ring_Q(5, rate=2.0))
+        dense = A.toarray()
+        exact = np.abs(dense).sum(axis=0).max() * np.abs(
+            np.linalg.inv(dense)
+        ).sum(axis=0).max()
+        assert diag.condition_estimate(A, lu) == pytest.approx(exact, rel=1e-12)
+
+    def test_same_estimate_under_any_global_seed(self):
+        A, lu = factorized(ring_Q(6))
+        np.random.seed(0)
+        first = diag.condition_estimate(A, lu)
+        np.random.seed(1)
+        assert diag.condition_estimate(A, lu) == first
+
+    def test_leaves_the_global_rng_untouched(self):
+        A, lu = factorized(ring_Q(6))
+        np.random.seed(7)
+        before = np.random.get_state()
+        diag.condition_estimate(A, lu)
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        np.testing.assert_array_equal(before[1], after[1])
 
 
 class TestSimplexDefect:

@@ -75,19 +75,18 @@ class TestReferenceModelAgreement:
     on synthetic random generators."""
 
     def test_methods_agree_on_pc_lan(self):
-        from repro.engine import cache_disabled
         from repro.pepa import ctmc_of
         from repro.pepa.models import get_model
         from repro.pepa.statespace import derive
 
         chain = ctmc_of(derive(get_model("pc_lan_4")))
-        with cache_disabled():  # compare the solvers, not cached copies
-            direct = steady_state(chain.generator, method="direct")
-            gmres = steady_state(chain.generator, method="gmres", tol=1e-12)
-            power = steady_state(chain.generator, method="power", tol=1e-12)
+        direct = steady_state(chain.generator, method="direct")
+        gmres = steady_state(chain.generator, method="gmres", tol=1e-12)
+        power = steady_state(chain.generator, method="power", tol=1e-12)
         np.testing.assert_allclose(gmres.pi, direct.pi, atol=1e-8)
         np.testing.assert_allclose(power.pi, direct.pi, atol=1e-8)
-        assert direct.meta["cache"] == "off"
+        # The numerics cache nothing: caching is the registry's job.
+        assert "cache" not in direct.meta
         assert power.iterations > 0
 
 
@@ -125,7 +124,7 @@ class TestGmresTrueResidual:
         # The rigged vector is normalized and claims a tiny residual ...
         assert rigged.pi.sum() == pytest.approx(1.0)
         assert rigged.residual < 1e-10
-        # ... but the truth is recomputable, and the cache never saw it.
+        # ... but the truth is recomputable: the next solve is clean.
         assert float(np.abs(rigged.pi @ Q).max()) > 0.1
         clean = steady_state(Q, method="direct")
         np.testing.assert_allclose(
