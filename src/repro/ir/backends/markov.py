@@ -132,7 +132,8 @@ def _finish_passage(ir, pi0, targets, times, cdf) -> PassageSolution:
 
 
 def _passage_targets(ir: MarkovIR, targets) -> list[int]:
-    targets = [int(s) for s in targets]
+    # Unique, in order: a repeated target would count its mass twice.
+    targets = list(dict.fromkeys(int(s) for s in targets))
     if not targets:
         raise BackendError("passage-time target set is empty")
     return targets

@@ -68,6 +68,18 @@ def test_passage_backend_agreement(name):
     assert 0.0 <= uni.cdf[0] and uni.cdf[-1] <= 1.0
 
 
+@pytest.mark.parametrize("backend", ("uniformization", "expm"))
+def test_repeated_passage_target_counted_once(backend):
+    # Regression: targets (3, 3) doubled the CDF (0.326 vs 0.163 at
+    # t = 0.5 on pc_lan_4) while the mean, computed from a set, did not.
+    ir = lowered("pc_lan_4")
+    times = np.array([0.5, 1.0, 2.0])
+    once = solve(ir, "passage", backend=backend, targets=(3,), times=times)
+    twice = solve(ir, "passage", backend=backend, targets=(3, 3), times=times)
+    assert twice.cdf.tobytes() == once.cdf.tobytes()
+    assert twice.mean == once.mean
+
+
 @pytest.mark.parametrize("alias", ("dense",))
 def test_passage_dense_alias(alias):
     ir = lowered("active_badge")

@@ -87,6 +87,13 @@ class TestTransientDistribution:
         with pytest.raises(NumericsError):
             transient_distribution(two_state(1, 1), [1.0, 0.0], [-1.0])
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.inf], [1.0, -np.inf]])
+    def test_non_finite_time_rejected(self, times):
+        # Regression: NaN passed ``times.min() < 0`` and inf reached int()
+        # as a bare ValueError / OverflowError.
+        with pytest.raises(NumericsError, match="finite"):
+            transient_distribution(two_state(1, 1), [1.0, 0.0], times)
+
 
 class TestBackwardTransient:
     def test_duality_with_forward(self):
@@ -128,6 +135,11 @@ class TestBackwardTransient:
         with pytest.raises(NumericsError, match="non-negative"):
             backward_transient(Q, [1.0, 0.0], -1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(NumericsError, match="finite"):
+            backward_transient(two_state(1.0, 2.0), [1.0, 0.0], t)
+
 
 class TestAbsorptionCdf:
     def test_single_exponential(self):
@@ -158,6 +170,18 @@ class TestAbsorptionCdf:
         Q = two_state(1.0, 1.0)
         cdf = absorption_cdf(Q, [0.0, 1.0], [1], [0.0, 1.0])
         np.testing.assert_allclose(cdf, [1.0, 1.0])
+
+
+    def test_repeated_target_counted_once(self):
+        # Regression: [1, 1] summed state 1's mass twice, so the CDF
+        # climbed to 2 while the (set-based) mean stayed right.
+        rng = np.random.default_rng(11)
+        Q = random_generator(rng, 5)
+        times = np.linspace(0.0, 3.0, 7)
+        pi0 = np.eye(5)[0]
+        once = absorption_cdf(Q, pi0, [1, 3], times)
+        repeated = absorption_cdf(Q, pi0, [1, 3, 1, 3, 3], times)
+        assert once.tobytes() == repeated.tobytes()
 
 
 class TestHittingTime:

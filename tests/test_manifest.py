@@ -20,7 +20,7 @@ from repro.allocation.mapping import MAPPING_A
 from repro.allocation.workload import synthetic_workload
 from repro.biopepa.examples import enzyme_kinetics_source
 from repro.engine import faults, parallel
-from repro.errors import ReplayError
+from repro.errors import NumericsError, ReplayError
 from repro.manifest import (
     RunManifest,
     last_manifest,
@@ -81,6 +81,14 @@ class TestManifestAssembly:
         }
         assert manifest.chunks["count"] == 3  # 60 runs / 25 per chunk
         assert manifest.chunks["chunk_runs"] == 25
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_transient_time_is_a_numerics_error(self, bad):
+        # Regression: inf escaped as a bare OverflowError from int().
+        with pytest.raises(NumericsError, match="finite"):
+            run_from_source(
+                "pepa", get_source("pc_lan_4"), "transient", times=[0.0, bad]
+            )
 
     def test_identity_digest_stable_across_reruns(self):
         src = get_source("active_badge")
