@@ -235,7 +235,7 @@ class RunManifest:
     params: dict                   #: encoded solver parameters
     seed: dict | None              #: root entropy + spawn layout
     chunks: dict | None            #: chunk structure of the fan-out
-    backend: dict | None           #: requested / used / chain / kernel
+    backend: dict | None           #: requested / used / revision / chain / kernel
     cache: str | None              #: cache status of the producing call
     diagnostics: dict | None       #: digest of the diagnostics dict
     environment: dict              #: numerical-stack fingerprint
@@ -259,7 +259,10 @@ class RunManifest:
     def identity_digest(self) -> str:
         """SHA-256 over the reproducibility-relevant manifest content."""
         ident = {name: getattr(self, name) for name in self._IDENTITY_FIELDS}
-        ident["backend_used"] = (self.backend or {}).get("used")
+        backend = self.backend or {}
+        ident["backend_used"] = backend.get("used")
+        if backend.get("revision", 1) != 1:
+            ident["backend_revision"] = backend["revision"]
         blob = json.dumps(ident, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -370,6 +373,7 @@ def build_solve_manifest(
     *,
     requested: str,
     used: str,
+    revision: int,
     chain: list[str],
     fallback_error: str | None,
     ir_digest: str | None,
@@ -403,6 +407,8 @@ def build_solve_manifest(
             # Which kernel ran an ensemble: observational, because every
             # kernel gives the same bits.
             "kernel": kernel,
+            # Absent means 1, so older manifests keep their identity.
+            **({"revision": revision} if revision != 1 else {}),
         },
         cache=cache_status,
         diagnostics=_diagnostics_digest(result),

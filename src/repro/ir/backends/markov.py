@@ -51,6 +51,7 @@ def _steady(method):
     return run
 
 
+# Revision 2 of sparse and gmres: the MMD_AT_PLUS_A ordering (numerics.steady).
 register_backend(
     "steady",
     "sparse",
@@ -58,9 +59,10 @@ register_backend(
     accepts=(MarkovIR,),
     aliases=("direct",),
     default=True,
+    revision=2,
 )
 register_backend("steady", "dense", _steady("dense"), accepts=(MarkovIR,))
-register_backend("steady", "gmres", _steady("gmres"), accepts=(MarkovIR,))
+register_backend("steady", "gmres", _steady("gmres"), accepts=(MarkovIR,), revision=2)
 register_backend(
     "steady",
     "uniformization",

@@ -95,6 +95,7 @@ class _Backend:
     func: Callable
     accepts: tuple[type, ...]
     cache: bool
+    revision: int
 
 
 #: Failures a fallback chain recovers from unless it declares otherwise.
@@ -117,6 +118,7 @@ def register_backend(
     aliases: tuple[str, ...] = (),
     cache: bool = True,
     default: bool = False,
+    revision: int = 1,
 ) -> None:
     """Register ``func`` as backend ``name`` for ``capability``.
 
@@ -124,12 +126,17 @@ def register_backend(
     names onto this backend (e.g. the numerics method names kept for
     backward compatibility).  The first registration for a capability —
     or the one passing ``default=True`` — becomes its default.
+    ``revision`` numbers the backend's numerics: a change that moves
+    result bits bumps it, manifests record it (when not 1) and replay
+    refuses a manifest of another revision.
     """
     if capability not in CAPABILITIES:
         raise BackendError(
             f"unknown capability {capability!r}; expected one of {CAPABILITIES}"
         )
-    _REGISTRY[(capability, name)] = _Backend(capability, name, func, accepts, cache)
+    _REGISTRY[(capability, name)] = _Backend(
+        capability, name, func, accepts, cache, revision
+    )
     for alias in aliases:
         _ALIASES[(capability, alias)] = name
     if default or capability not in _DEFAULTS:
@@ -214,11 +221,10 @@ def _execute(be: _Backend, ir, params: dict):
 
     with reg.timer(f"ir.{be.capability}"):
         if be.cache and getattr(ir, "token", True) is not None:
-            result, status = cached(
-                f"ir.{be.capability}",
-                (_ir_digest(ir) or _NO_DIGEST, be.name, params),
-                compute,
-            )
+            key = (_ir_digest(ir) or _NO_DIGEST, be.name, params)
+            if be.revision != 1:  # revision-1 keys predate revisions
+                key += (be.revision,)
+            result, status = cached(f"ir.{be.capability}", key, compute)
             if status == "hit":  # a stale entry is as suspect as a bad solve
                 guards.verify(be.capability, be.name, ir, result, params)
         else:
@@ -275,6 +281,7 @@ def _attach_solve_manifest(
         result,
         requested=requested.name,
         used=used.name,
+        revision=used.revision,
         chain=chain,
         fallback_error=(
             str(first_error) if used is not requested and first_error else None

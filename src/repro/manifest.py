@@ -276,9 +276,19 @@ def _check_model_integrity(model: dict) -> str:
 
 
 def _replay_solve(manifest: RunManifest):
+    from repro.ir import get_backend
+
     model = manifest.model or {}
     source = _check_model_integrity(model)
     backend = (manifest.backend or {}).get("used")
+    # Refuse numerics this build no longer runs (no revision means 1).
+    recorded = (manifest.backend or {}).get("revision", 1)
+    running = get_backend(manifest.capability, backend).revision
+    if recorded != running:
+        raise ReplayError(
+            f"{manifest.capability!r} backend {backend!r} ran revision "
+            f"{recorded}; this build runs revision {running}"
+        )
     return run_from_source(
         model.get("formalism"),
         source,

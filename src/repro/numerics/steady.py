@@ -20,6 +20,15 @@ Three methods are provided, matching the ablation D1 in DESIGN.md:
     Slowest but allocation-free per step and embarrassingly simple; it
     is the method of last resort for ill-conditioned generators.
 
+``direct`` and ``gmres`` factorise under the ``MMD_AT_PLUS_A`` column
+ordering (minimum degree on ``A^T + A``; a generator's pattern is
+nearly symmetric), not SuperLU's default COLAMD.  Over the bundled
+models, Table I machines and PC-LAN chains it fills least on every
+model above nine states: the 1024-state PC-LAN's LU drops from 681k to
+221k nonzeros (4-5x faster), the 4096-state one's from 12.2M to 3.4M
+(11x).  It moves result bits, so the registry's ``sparse`` and
+``gmres`` are at revision 2.
+
 All methods accept the generator in the "row" convention used across
 this library: ``Q[i, j]`` (``i != j``) is the rate from state ``i`` to
 state ``j`` and rows sum to zero.
@@ -46,6 +55,10 @@ _METHODS = ("direct", "dense", "gmres", "power")
 #: The dense LAPACK solver materializes the full matrix; refuse sizes
 #: where that silently burns memory for no accuracy gain.
 _DENSE_LIMIT = 2000
+
+#: Column ordering of the ``direct`` LU and the ``gmres`` ILU (see the
+#: module docstring); changing it needs a ``sparse``/``gmres`` revision.
+_PERMC = "MMD_AT_PLUS_A"
 
 
 @dataclass(frozen=True)
@@ -141,7 +154,7 @@ def _solve_direct(Q: sp.csr_matrix) -> tuple[np.ndarray, float | None]:
     with κ₁ measured on the same factorization."""
     A, b = _replaced_system(Q)
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A, permc_spec=_PERMC)
         pi = lu.solve(b)
     except RuntimeError as exc:  # splu signals singularity this way
         raise SingularGeneratorError(f"direct solve failed: {exc}") from exc
@@ -172,7 +185,7 @@ def _solve_gmres(Q: sp.csr_matrix, tol: float, maxiter: int) -> tuple[np.ndarray
     A, b = _replaced_system(Q)
     n = A.shape[0]
     try:
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-6, fill_factor=20)
+        ilu = spla.spilu(A, drop_tol=1e-6, fill_factor=20, permc_spec=_PERMC)
         M = spla.LinearOperator((n, n), matvec=ilu.solve)
     except RuntimeError:
         M = None  # fall back to unpreconditioned GMRES

@@ -1,9 +1,10 @@
-"""Backend matrix over the bundled Edinburgh PEPA models.
+"""Backend matrix over the bundled PEPA models and the steady corpus.
 
 Every CTMC backend must agree on every model: the steady-state vectors
-of ``dense`` / ``sparse`` / ``gmres`` / ``uniformization`` coincide, and
-the ``expm`` transient/passage backends match the uniformization ones.
-This is the cross-backend half of the equivalence suite (the
+of ``sparse`` / ``gmres`` / ``uniformization`` match dense LAPACK on the
+bundled models, the Table I machines and the 1024-state PC-LAN patterns,
+and the ``expm`` transient/passage backends match the uniformization
+ones.  This is the cross-backend half of the equivalence suite (the
 cross-formalism half lives in ``test_cross_formalism.py``).
 """
 
@@ -15,31 +16,88 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from benchmarks.e2e.workloads import LAN_PATTERNS, lan_source
+from repro.allocation import MAPPING_A, MAPPING_B, synthetic_workload
+from repro.allocation.machines import machine_model_source
+from repro.engine import cache_disabled
 from repro.errors import BackendError
 from repro.ir import MarkovIR, solve
 from repro.ir.backends.markov import DENSE_STATE_LIMIT
-from repro.pepa import ctmc_of, derive
-from repro.pepa.models import get_model
+from repro.numerics import steady
+from repro.pepa import ctmc_of, derive, parse_model
+from repro.pepa.models import MODEL_NAMES, get_source
 
 EDINBURGH_MODELS = ("active_badge", "alternating_bit", "pc_lan_4")
 
+#: The steady corpus: bundled models, the ten Table I machine models
+#: (recurrent, under Mappings A and B) and the 1024-state PC-LAN patterns.
+STEADY_SOURCES = {
+    **{name: get_source(name) for name in MODEL_NAMES},
+    **{
+        f"{mapping.name}-{machine}": machine_model_source(
+            mapping, machine, synthetic_workload(), absorbing=False
+        )
+        for mapping in (MAPPING_A, MAPPING_B)
+        for machine in ("M1", "M2", "M3", "M4", "M5")
+    },
+    **{
+        "lan-" + "x".join(map(str, segments)): lan_source(
+            segments, 0.4, [4.0 + 2.0 * k for k in range(len(segments))]
+        )
+        for segments in LAN_PATTERNS
+    },
+}
+
 STEADY_BACKENDS = ("dense", "sparse", "gmres", "uniformization")
+
+#: ``(params, max |pi - pi_dense|)`` per backend: the sparse LU agrees
+#: with LAPACK to round-off, GMRES does once its tolerance is below the
+#: bound, and power iteration stops at its own default tolerance.
+STEADY_AGREEMENT = {
+    "dense": ({}, 0.0),
+    "sparse": ({}, 1e-12),
+    "gmres": ({"tol": 1e-12}, 1e-12),
+    "uniformization": ({}, 1e-7),
+}
 
 
 @lru_cache(maxsize=None)
 def lowered(name: str) -> MarkovIR:
-    return ctmc_of(derive(get_model(name))).lower()
+    return ctmc_of(derive(parse_model(STEADY_SOURCES[name]))).lower()
 
 
-@pytest.mark.parametrize("name", EDINBURGH_MODELS)
+@lru_cache(maxsize=None)
+def dense_pi(name: str) -> np.ndarray:
+    return solve(lowered(name), "steady", backend="dense").pi
+
+
+@pytest.mark.parametrize("name", STEADY_SOURCES)
 @pytest.mark.parametrize("backend", STEADY_BACKENDS)
 def test_steady_backend_matrix(name, backend):
     ir = lowered(name)
-    reference = solve(ir, "steady", backend="sparse").pi
-    result = solve(ir, "steady", backend=backend)
+    params, atol = STEADY_AGREEMENT[backend]
+    result = solve(ir, "steady", backend=backend, fallback=False, **params)
     assert result.pi.shape == (ir.n_states,)
     assert abs(result.pi.sum() - 1.0) < 1e-9
-    np.testing.assert_allclose(result.pi, reference, atol=1e-7)
+    assert np.abs(result.pi - dense_pi(name)).max() <= atol
+
+
+def test_sparse_lu_fill_on_a_1024_state_lan(monkeypatch):
+    """The fill-reducing ordering keeps the LU of the 1024-state PC-LAN
+    at ~221k nonzeros (COLAMD fills it to ~681k)."""
+    fills = []
+    splu = steady.spla.splu
+
+    def measured(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(steady.spla, "splu", measured)
+    with cache_disabled():
+        solve(lowered("lan-10"), "steady", backend="sparse")
+    assert len(fills) == 1
+    assert fills[0] < 300_000
 
 
 @pytest.mark.parametrize("name", EDINBURGH_MODELS)

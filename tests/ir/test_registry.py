@@ -312,3 +312,37 @@ class TestOneSteadyPath:
         assert len(calls) == 2
         np.testing.assert_array_equal(clean[:, 0], [1.0, 1.0])
         get_cache().clear()
+
+
+class TestRevisionInTheCacheKey:
+    """A backend revision other than 1 joins the cache key, so results
+    of older numerics are not served to a newer build."""
+
+    def test_revision_one_entry_is_a_miss_after_the_bump(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.engine import configure_cache
+        from repro.ir import registry
+
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        dense = get_backend("steady", "dense").func
+
+        def probe(revision):
+            registry.register_backend(
+                "steady", "probe", dense, accepts=(MarkovIR,),
+                revision=revision,
+            )
+            get_cache().clear()  # only the disk layer may answer
+            return solve(
+                weighted_ring_ir([1.0, 2.0, 4.0]), "steady", backend="probe"
+            ).meta["cache"]
+
+        previous = get_cache().disk_dir
+        configure_cache(disk_dir=tmp_path)
+        try:
+            with cache_override(True):
+                statuses = [probe(1), probe(1), probe(2), probe(2), probe(1)]
+        finally:
+            configure_cache(disk_dir=previous)
+            get_cache().clear()
+        assert statuses == ["miss", "hit", "miss", "hit", "hit"]

@@ -54,6 +54,19 @@ def _verify_in_fresh_process(manifest_path, extra_env=None):
     return proc.stdout
 
 
+def _refused_replay(manifest_path):
+    """stderr lines of a `repro replay --verify` that must fail cleanly."""
+    env = dict(os.environ, PYTHONPATH=_SRC_ROOT)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "replay", str(manifest_path),
+         "--verify"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    return proc.stderr.strip().splitlines()
+
+
 class TestManifestAssembly:
     def test_solve_attaches_replayable_manifest(self):
         result = run_from_source("pepa", get_source("active_badge"), "steady")
@@ -314,14 +327,7 @@ class TestFreshProcessVerification:
         data["backend"]["requested"] = data["backend"]["used"] = name
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))
-        env = dict(os.environ, PYTHONPATH=_SRC_ROOT)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "replay", str(path), "--verify"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode != 0
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.strip().splitlines() == [
+        assert _refused_replay(path) == [
             f"error: no 'ssa' backend named {name!r}; available: "
             "['direct', 'next-reaction']"
         ]
@@ -412,14 +418,78 @@ class TestDeriveBackendRecorded:
         data["model"]["derive_backend"] = "kronecker"
         path = tmp_path / "kronecker.json"
         path.write_text(json.dumps(data))
-        env = dict(os.environ, PYTHONPATH=_SRC_ROOT)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "replay", str(path), "--verify"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode != 0
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.strip().splitlines() == [
+        assert _refused_replay(path) == [
             "error: no 'derive' backend named 'kronecker'; available: "
             "['auto', 'explicit', 'population']"
         ]
+
+
+#: Manifests emitted before backends carried a revision (kept verbatim
+#: except for the observational ``platform.executable``), each with the
+#: identity digest it had then.
+PRE_REVISION = json.loads((FIXTURES / "pre_revision_manifests.json").read_text())
+
+#: Identity digest of ``enzyme_ssa_ensemble_manifest.json`` before
+#: backends carried a revision.
+ENZYME_SSA_IDENTITY = (
+    "89102fc521e9842904368fb76665d535bcc23d3c8e969dab1d59a570a1583c1d"
+)
+
+
+class TestBackendRevision:
+    """``sparse`` and ``gmres`` steady run revision 2; every other
+    backend runs revision 1, which a manifest records by omission."""
+
+    @pytest.mark.parametrize("name", ["steady_sparse", "steady_gmres"])
+    def test_pre_revision_steady_manifest_fails_in_one_line(
+        self, tmp_path, name
+    ):
+        manifest = RunManifest.from_dict(PRE_REVISION[name]["manifest"])
+        path = manifest.save(tmp_path / f"{name}.json")
+        assert _refused_replay(path) == [
+            f"error: 'steady' backend {manifest.backend['used']!r} ran "
+            "revision 1; this build runs revision 2"
+        ]
+
+    @pytest.mark.parametrize("name", ["transient", "passage", "makespan_cdf"])
+    def test_revision_one_manifest_keeps_identity_and_verifies(self, name):
+        from repro.engine.environment import environment_fingerprint
+
+        manifest = RunManifest.from_dict(PRE_REVISION[name]["manifest"])
+        assert manifest.identity_digest() == PRE_REVISION[name]["identity_digest"]
+        manifest = dataclasses.replace(
+            manifest, environment=environment_fingerprint()
+        )
+        report = replay(manifest, verify=True)
+        assert report.verified
+        assert "revision" not in (report.replay_manifest.backend or {})
+
+    def test_committed_ssa_fixture_keeps_its_identity(self):
+        manifest = load_manifest(FIXTURES / "enzyme_ssa_ensemble_manifest.json")
+        assert manifest.identity_digest() == ENZYME_SSA_IDENTITY
+        result = run_from_source(
+            "biopepa", enzyme_kinetics_source(), "ssa",
+            mode="ensemble", times=GRID, n_runs=20, seed=3,
+        )
+        assert "revision" not in result.meta["manifest"].backend
+
+    def test_revision_enters_manifest_and_identity_only_when_not_one(self):
+        from repro.ir import get_backend
+
+        assert get_backend("steady", "sparse").revision == 2
+        assert get_backend("steady", "gmres").revision == 2
+        assert get_backend("steady", "dense").revision == 1
+        manifest = run_from_source(
+            "pepa", get_source("active_badge"), "steady"
+        ).meta["manifest"]
+        assert manifest.backend["revision"] == 2
+        bumped = dataclasses.replace(
+            manifest, backend={**manifest.backend, "revision": 3}
+        )
+        assert bumped.identity_digest() != manifest.identity_digest()
+        unset = {k: v for k, v in manifest.backend.items() if k != "revision"}
+        one = dataclasses.replace(manifest, backend={**unset, "revision": 1})
+        assert (
+            one.identity_digest()
+            == dataclasses.replace(manifest, backend=unset).identity_digest()
+        )
