@@ -60,7 +60,7 @@ class CTMC:
                 trans_source=space.trans_source,
                 trans_target=space.trans_target,
                 trans_rate=space.trans_rate,
-                trans_action=tuple(names[c] for c in space.trans_action_code),
+                trans_action=tuple([names[c] for c in space.trans_action_code.tolist()]),
             )
         return self._ir
 

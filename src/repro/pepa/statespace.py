@@ -175,6 +175,7 @@ class StateSpace:
     _transitions: list[Transition] | None = field(default=None, repr=False)
     _out: list[list[Transition]] | None = field(default=None, repr=False)
     _index: dict[tuple[int, ...], int] | None = field(default=None, repr=False)
+    _labels: list[list[str]] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_transitions(
@@ -299,15 +300,21 @@ class StateSpace:
         """The local derivative of leaf ``leaf`` in global state ``state``."""
         return self.local_terms[leaf][self.states[state][leaf]]
 
+    def _local_labels(self) -> list[list[str]]:
+        """``[k][j]``: the label of leaf ``k``'s ``j``-th local derivative."""
+        if self._labels is None:
+            self._labels = [
+                [t.name if isinstance(t, Constant) else unparse(t) for t in terms]
+                for terms in self.local_terms
+            ]
+        return self._labels
+
     def local_label(self, leaf: int, local_index: int) -> str:
-        term = self.local_terms[leaf][local_index]
-        return term.name if isinstance(term, Constant) else unparse(term)
+        return self._local_labels()[leaf][local_index]
 
     def state_label(self, state: int) -> str:
         """Human-readable label, e.g. ``(Client_think, Server)``."""
-        parts = [
-            self.local_label(k, self.states[state][k]) for k in range(len(self.leaves))
-        ]
+        parts = [names[j] for names, j in zip(self._local_labels(), self.states[state])]
         return "(" + ", ".join(parts) + ")"
 
     def states_where(self, predicate) -> list[int]:
@@ -318,13 +325,9 @@ class StateSpace:
         """States in which the given leaf is at the local derivative whose
         label equals ``term_name`` (a constant name or unparsed term)."""
         k = self.leaf_index(leaf) if isinstance(leaf, str) else leaf
-        matching = {
-            j
-            for j in range(len(self.local_terms[k]))
-            if self.local_label(k, j) == term_name
-        }
+        known = self._local_labels()[k]
+        matching = {j for j, label in enumerate(known) if label == term_name}
         if not matching:
-            known = [self.local_label(k, j) for j in range(len(self.local_terms[k]))]
             raise KeyError(
                 f"leaf {self.leaves[k].name!r} has no local state {term_name!r}; "
                 f"known local states: {known}"
