@@ -1096,9 +1096,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=float, default=None,
                    help="per-job deadline in seconds")
     p.add_argument("--wait", action="store_true",
-                   help="poll until the job finishes")
+                   help="wait until the job finishes")
     p.add_argument("--timeout", type=float, default=300.0,
-                   help="how long --wait polls before giving up")
+                   help="how long --wait waits before giving up")
     p.add_argument("--result-out", metavar="PATH",
                    help="with --wait: write the result document (JSON) here")
     p.add_argument("--manifest-out", metavar="PATH",

@@ -10,9 +10,11 @@ Server side
     :attr:`JsonHandler.routes` maps ``(method, path)`` to a handler
     returning ``(status, body)`` or ``(status, body, headers)``; a
     ``*`` path segment matches any one segment and is passed to the
-    handler.  Paths under ``/v1/`` demand ``Authorization: Bearer
-    <token>`` when :meth:`JsonHandler.token` is set and answer 401
-    before any body is read, except the ``open_routes``.  A malformed
+    handler.  The query string is split off before the bearer check and
+    routing, and handlers read it parsed as :attr:`JsonHandler.query`.
+    Paths under ``/v1/`` demand ``Authorization: Bearer <token>`` when
+    :meth:`JsonHandler.token` is set and answer 401 before any body is
+    read, except the ``open_routes``.  A malformed
     ``Content-Length`` answers 400.  Request lines reach stderr only
     under ``$REPRO_SERVE_LOG``.
 Client side
@@ -30,6 +32,7 @@ import os
 import sys
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -66,6 +69,9 @@ class JsonHandler(BaseHTTPRequestHandler):
     open_routes: frozenset = frozenset()
     #: Counter incremented on every 401 (``None`` = not counted).
     auth_counter: str | None = None
+    #: The request's query parameters (the last value of a repeated
+    #: name wins), set before the handler runs.
+    query: dict = {}
 
     def token(self) -> str | None:
         """The bearer token ``/v1/`` routes demand (``None`` = open)."""
@@ -116,11 +122,13 @@ class JsonHandler(BaseHTTPRequestHandler):
         return None, []
 
     def _dispatch(self) -> None:
-        method, path = self.command, self.path.rstrip("/") or "/"
+        raw, _, query = self.path.partition("?")
+        method, path = self.command, raw.rstrip("/") or "/"
+        self.query = dict(urllib.parse.parse_qsl(query, keep_blank_values=True))
         self._body_read = False
         try:
             if (
-                self.path.startswith("/v1/")
+                raw.startswith("/v1/")
                 and (method, path) not in self.open_routes
                 and not check_token(self.token(), self.bearer())
             ):

@@ -114,8 +114,11 @@ class ServiceClient:
             payload["deadline_seconds"] = deadline_seconds
         return self._request("POST", "/v1/jobs", payload)
 
-    def status(self, job_id: str) -> dict:
-        return self._request("GET", f"/v1/jobs/{job_id}")
+    def status(self, job_id: str, wait: float = 0.0) -> dict:
+        """One job's status.  With ``wait`` > 0 the server holds its
+        answer until the job is terminal or ``wait`` seconds pass."""
+        query = f"?wait={wait:.3f}" if wait > 0 else ""
+        return self._request("GET", f"/v1/jobs/{job_id}{query}")
 
     def result(self, job_id: str) -> dict:
         return self._request("GET", f"/v1/jobs/{job_id}/result")
@@ -136,14 +139,23 @@ class ServiceClient:
         return self._request("GET", "/v1/metrics")
 
     def wait(self, job_id: str, timeout: float = 120.0, poll: float = 0.2) -> dict:
-        """Poll until the job reaches a terminal state; returns its status.
+        """Block until the job reaches a terminal state; returns its status.
+
+        Each round is one long-poll status request that the server
+        answers as soon as the job is terminal, so a job that finishes
+        in time costs one request.  A round asks the server to wait less
+        than this client's socket ``timeout``, so the server always
+        answers first.  ``poll`` is accepted for older callers and
+        unused.
 
         Raises :class:`~repro.errors.ServiceError` on timeout — the job
         keeps running server-side; this only gives up on waiting.
         """
         deadline = time.monotonic() + timeout
+        longest = self.timeout - min(1.0, self.timeout / 2)
         while True:
-            status = self.status(job_id)
+            remaining = max(0.0, deadline - time.monotonic())
+            status = self.status(job_id, wait=min(remaining, longest))
             if status.get("status") in TERMINAL_STATES:
                 return status
             if time.monotonic() >= deadline:
@@ -151,4 +163,3 @@ class ServiceClient:
                     f"job {job_id} still {status.get('status')!r} "
                     f"after {timeout:g}s"
                 )
-            time.sleep(poll)

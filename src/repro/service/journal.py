@@ -199,6 +199,9 @@ class JobStore:
         self._compacted_floor = 0
         self._records: dict[str, JobRecord] = {}
         self._lock = threading.Lock()
+        # Notified on every status change and on seal; see wait().
+        self._changed = threading.Condition(self._lock)
+        self._sealed = False
         self.recovered_ids = self._recover()
         self.journal.open()
         # Re-log recovered jobs' re-enqueue so the *new* journal epoch is
@@ -302,6 +305,19 @@ class JobStore:
         with self._lock:
             return self._records.get(job_id)
 
+    def wait(self, job_id: str, timeout: float) -> JobRecord | None:
+        """The job's record once it is terminal, the store is sealed or
+        ``timeout`` seconds have passed; ``None`` at once for an unknown
+        id.  The record may still be ``queued`` or ``running``."""
+
+        def settled() -> bool:
+            record = self._records.get(job_id)
+            return record is None or record.status in TERMINAL_STATES or self._sealed
+
+        with self._changed:
+            self._changed.wait_for(settled, timeout)
+            return self._records.get(job_id)
+
     def list_records(self) -> list[JobRecord]:
         with self._lock:
             return sorted(self._records.values(), key=lambda r: r.submitted_at)
@@ -334,6 +350,7 @@ class JobStore:
                 entry["reason"] = reason
             self.journal.append(entry)
             self._maybe_compact_locked()
+            self._changed.notify_all()
 
     # -- results -------------------------------------------------------------
 
@@ -405,8 +422,10 @@ class JobStore:
 
         A clean seal is also the natural compaction point: the snapshot
         plus the seal record is the smallest journal that restarts
-        exactly here.
+        exactly here.  Every :meth:`wait` returns at once from here on.
         """
         with self._lock:
             self._compact_locked()
+            self._sealed = True
+            self._changed.notify_all()
         self.journal.seal()

@@ -4,7 +4,9 @@ Routes (all JSON)::
 
     POST   /v1/jobs             submit {spec, tenant?, priority?, deadline_seconds?}
     GET    /v1/jobs             list jobs
-    GET    /v1/jobs/{id}        status of one job
+    GET    /v1/jobs/{id}        status of one job; ?wait=S holds the answer
+                                until the job is terminal or S seconds
+                                pass (S capped at MAX_STATUS_WAIT)
     GET    /v1/jobs/{id}/result result + run manifest (200 only when done)
     DELETE /v1/jobs/{id}        cancel (queued or running)
     GET    /healthz             liveness (200 while the process runs)
@@ -31,6 +33,7 @@ CLI flags override the environment.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import threading
@@ -45,7 +48,11 @@ from repro.service.jobs import TERMINAL_STATES, JobSpec
 from repro.service.journal import JobStore
 from repro.service.runner import JobRunner
 
-__all__ = ["ServiceConfig", "JobService", "serve"]
+__all__ = ["MAX_STATUS_WAIT", "ServiceConfig", "JobService", "serve"]
+
+#: Longest a ``GET /v1/jobs/{id}?wait=S`` holds its answer, in seconds;
+#: a larger ``S`` is cut to this.
+MAX_STATUS_WAIT = 30.0
 
 
 @dataclass(frozen=True)
@@ -199,8 +206,11 @@ class JobService:
                 return exc.status, {"error": str(exc), "job_id": job_id}, headers
         return 202, {"job_id": job_id, "status": "queued"}, {}
 
-    def status(self, job_id: str) -> tuple[int, dict, dict]:
-        record = self.store.get(job_id)
+    def status(self, job_id: str, wait: float = 0.0) -> tuple[int, dict, dict]:
+        """One job's status, held up to ``wait`` seconds (capped at
+        :data:`MAX_STATUS_WAIT`) until the job is terminal.  Draining
+        wakes every waiter when it seals the journal."""
+        record = self.store.wait(job_id, min(wait, MAX_STATUS_WAIT))
         if record is None:
             return 404, {"error": f"unknown job {job_id!r}"}, {}
         return 200, record.to_public(), {}
@@ -293,6 +303,16 @@ class _Handler(JsonHandler):
     def token(self) -> str | None:
         return self.service.config.token
 
+    def _status(self, job_id: str):
+        raw = self.query.get("wait", "0")
+        try:
+            wait = float(raw)
+        except ValueError:
+            wait = math.nan
+        if not (math.isfinite(wait) and wait >= 0):
+            raise BadRequest(f"wait must be a finite number of seconds >= 0, not {raw!r}")
+        return self.service.status(job_id, wait)
+
     def _submit(self):
         payload = self.read_json()
         if payload is None:
@@ -306,7 +326,7 @@ class _Handler(JsonHandler):
         ("GET", "/v1/metrics"): lambda h: h.service.metrics(),
         ("GET", "/v1/jobs"): lambda h: h.service.jobs(),
         ("GET", "/v1/jobs/*/result"): lambda h, job_id: h.service.result(job_id),
-        ("GET", "/v1/jobs/*"): lambda h, job_id: h.service.status(job_id),
+        ("GET", "/v1/jobs/*"): _status,
         ("DELETE", "/v1/jobs/*"): lambda h, job_id: h.service.cancel(job_id),
     }
 

@@ -51,7 +51,10 @@ class _Echo(JsonHandler):
     routes = {
         ("GET", "/a/*/b"): lambda h, x: (200, {"x": x}),
         ("GET", "/v1/secret"): lambda h: (200, {"ok": True}, {"X-Extra": "1"}),
+        ("GET", "/query"): lambda h: (200, h.query),
+        ("GET", "/v1/open"): lambda h: (200, {"open": True}),
     }
+    open_routes = frozenset({("GET", "/v1/open")})
 
     def token(self):
         return TOKEN
@@ -90,6 +93,18 @@ def test_route_segments_status_and_headers(echo):
     )
     status, body, headers = request_json("GET", f"{echo}/v1/secret", token=TOKEN)
     assert (status, body, headers["X-Extra"]) == (200, {"ok": True}, "1")
+
+
+def test_query_string_is_split_off_before_auth_and_routing(echo):
+    assert request_json("GET", f"{echo}/a/seg/b?probe=1")[:2] == (200, {"x": "seg"})
+    assert request_json("GET", f"{echo}/query/?a=1&b=&a=2")[:2] == (
+        200, {"a": "2", "b": ""}
+    )
+    assert request_json("GET", f"{echo}/query")[:2] == (200, {})
+    # The open-route exemption and the bearer check see the bare path.
+    assert request_json("GET", f"{echo}/v1/open?x=1")[:2] == (200, {"open": True})
+    assert request_json("GET", f"{echo}/v1/secret?x=1")[0] == 401
+    assert request_json("GET", f"{echo}/v1/secret?x=1", token=TOKEN)[0] == 200
 
 
 @pytest.mark.parametrize("length", ["-1", "abc"])

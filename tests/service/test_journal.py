@@ -1,6 +1,9 @@
 """Journal durability: checksums, torn tails, crash recovery, atomic results."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -86,6 +89,56 @@ class TestJobStore:
         assert fetched.attempts == 1
         assert fetched.finished_at is not None
         store.seal()
+
+    def test_waiters_wake_on_every_terminal_transition(self, tmp_path):
+        # More threads than cores and a tiny switch interval: a lost
+        # notify leaves a waiter asleep until its 10 s timeout.
+        store = JobStore(tmp_path)
+        job_ids = [store.submit(make_spec(f"{i}.5")).job_id for i in range(8)]
+        answers = []
+
+        def waiter(job_id):
+            answers.append(store.wait(job_id, 10.0).status)
+
+        def finisher(job_id):
+            store.set_status(job_id, "running")
+            store.set_status(job_id, "done")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.monotonic()
+            waiters = [
+                threading.Thread(target=waiter, args=(job_id,))
+                for job_id in job_ids for _ in range(3)
+            ]
+            for thread in waiters:
+                thread.start()
+            finishers = [
+                threading.Thread(target=finisher, args=(job_id,)) for job_id in job_ids
+            ]
+            for thread in finishers:
+                thread.start()
+            for thread in finishers + waiters:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == ["done"] * len(waiters)
+        assert time.monotonic() - started < 5.0
+        assert store.wait("job-unknown", 10.0) is None
+        store.seal()
+
+    def test_seal_wakes_waiters_on_unfinished_jobs(self, tmp_path):
+        store = JobStore(tmp_path)
+        job_id = store.submit(make_spec()).job_id
+        threading.Timer(0.2, store.seal).start()
+        started = time.monotonic()
+        assert store.wait(job_id, 10.0).status == "queued"
+        assert time.monotonic() - started < 2.0
+        # Sealed: later waiters answer at once.
+        assert store.wait(job_id, 10.0).status == "queued"
+        assert time.monotonic() - started < 2.0
 
     def test_sealed_journal_recovers_terminal_state(self, tmp_path):
         store = JobStore(tmp_path)

@@ -12,7 +12,10 @@ from http.server import ThreadingHTTPServer
 import pytest
 
 from repro.engine.cancellation import current_scope
+import repro.service.client as client_module
+import repro.service.server as server_module
 from repro.engine.metrics import get_registry
+from repro.engine.wire import request_json
 from repro.errors import JobRejectedError, ServiceError
 from repro.service import JobSpec, ServiceClient, ServiceConfig
 from repro.service.server import JobService, _Handler
@@ -308,3 +311,118 @@ class TestDrain:
         # Durable state is queued -> a restart would resume the job.
         assert box.service.store.get(job_id).status == "queued"
         assert box.service.store.get(job_id).reason == "suspended"
+
+
+class TestLongPoll:
+    """``GET /v1/jobs/{id}?wait=S`` and the client's wait built on it."""
+
+    @staticmethod
+    def get(box, path):
+        started = time.monotonic()
+        status, body, _ = request_json("GET", f"{box.client.base_url}{path}")
+        return status, body, time.monotonic() - started
+
+    @pytest.mark.parametrize("raw", ["abc", "", "-1", "nan", "inf", "-inf"])
+    def test_invalid_wait_is_400(self, live, raw):
+        box = live(executor=FakeExecutor())
+        job_id = box.client.submit(make_spec())["job_id"]
+        status, body, _ = self.get(box, f"/v1/jobs/{job_id}?wait={raw}")
+        assert status == 400
+        assert "wait must be" in body["error"]
+
+    def test_unknown_job_is_404_without_waiting(self, live):
+        box = live(executor=FakeExecutor())
+        status, body, elapsed = self.get(box, "/v1/jobs/job-nope?wait=5")
+        assert status == 404 and "unknown job" in body["error"]
+        assert elapsed < 1.0
+
+    def test_terminal_job_answers_at_once(self, live):
+        box = live(executor=FakeExecutor())
+        job_id = box.client.submit(make_spec())["job_id"]
+        box.client.wait(job_id, timeout=10.0)
+        status, body, elapsed = self.get(box, f"/v1/jobs/{job_id}?wait=5")
+        assert (status, body["status"]) == (200, "done")
+        assert elapsed < 1.0
+
+    def test_running_job_answers_its_status_at_the_capped_wait(
+        self, live, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "MAX_STATUS_WAIT", 0.3)
+        executor = FakeExecutor()
+        executor.release.clear()
+        box = live(executor=executor)
+        job_id = box.client.submit(make_spec())["job_id"]
+        executor.started.wait(timeout=5.0)
+        status, body, elapsed = self.get(box, f"/v1/jobs/{job_id}?wait=60")
+        assert (status, body["status"]) == (200, "running")
+        assert 0.3 <= elapsed < 3.0
+        executor.release.set()
+
+    def test_a_waiter_wakes_when_the_job_finishes(self, live):
+        executor = FakeExecutor()
+        executor.release.clear()
+        box = live(executor=executor)
+        job_id = box.client.submit(make_spec())["job_id"]
+        executor.started.wait(timeout=5.0)
+        threading.Timer(0.3, executor.release.set).start()
+        status, body, elapsed = self.get(box, f"/v1/jobs/{job_id}?wait=8")
+        assert (status, body["status"]) == (200, "done")
+        assert elapsed < 3.0
+
+    def test_client_wait_makes_at_most_two_status_calls(self, live, monkeypatch):
+        # A sleep-poll loop (poll=0.2) would ask about five times in 1 s.
+        box = live(executor=FakeExecutor(delay=1.0))
+        calls = []
+        real_status = box.client.status
+
+        def counting(job_id, wait=0.0):
+            calls.append(wait)
+            return real_status(job_id, wait=wait)
+
+        monkeypatch.setattr(box.client, "status", counting)
+        job_id = box.client.submit(make_spec())["job_id"]
+        assert box.client.wait(job_id, timeout=8.0)["status"] == "done"
+        assert 1 <= len(calls) <= 2
+
+    def test_drain_wakes_a_waiter_on_a_running_job(self, live):
+        executor = FakeExecutor()
+        executor.release.clear()  # runs until the drain suspends it
+        box = live(executor=executor)
+        job_id = box.client.submit(make_spec())["job_id"]
+        executor.started.wait(timeout=5.0)
+        answered = {}
+
+        def waiter():
+            answered["body"] = box.client.status(job_id, wait=8.0)
+            answered["at"] = time.monotonic()
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        time.sleep(0.2)  # let the request reach the server and block
+        drained_at = time.monotonic()
+        box.service.drain(timeout=0.2)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert answered["at"] - drained_at < 1.0
+        assert answered["body"]["status"] == "queued"
+
+
+@pytest.mark.parametrize("socket_timeout", [0.5, 2.0, 30.0])
+def test_client_never_asks_to_wait_past_its_socket_timeout(
+    monkeypatch, socket_timeout
+):
+    requested = []
+
+    def fake_request_json(method, url, body, token, timeout):
+        _, _, wait = url.partition("?wait=")
+        requested.append((float(wait or 0.0), timeout))
+        state = "done" if len(requested) == 4 else "running"
+        return 200, {"job_id": "job-x", "status": state}, {}
+
+    monkeypatch.setattr(client_module, "request_json", fake_request_json)
+    client = ServiceClient("http://service.invalid", timeout=socket_timeout)
+    assert client.wait("job-x", timeout=120.0)["status"] == "done"
+    assert len(requested) == 4
+    for wait, timeout in requested:
+        assert timeout == socket_timeout
+        assert 0 < wait < timeout
