@@ -48,7 +48,7 @@ def test_steady_state_warm_cache(benchmark, chain):
     get_cache().clear()
 
 
-@pytest.mark.parametrize("backend", ("sparse", "dense", "gmres", "uniformization"))
+@pytest.mark.parametrize("backend", ("sparse", "gmres", "uniformization"))
 def test_steady_backend(benchmark, chain, backend):
     """Per-backend steady-state cost through the IR registry — the menu
     the `repro solve --backend` flag chooses from."""

@@ -16,10 +16,10 @@ Subcommands mirror the workflow of the paper::
     repro hub --root ./hub list COLLECTION
     repro hub --root ./hub pull COLLECTION NAME TAG -o out.img.json
 
-    repro solve model.pepa --backend dense          # IR backend registry
+    repro solve model.pepa --backend gmres          # IR backend registry
     repro solve model.biopepa --capability ssa --runs 200
     repro solve model.pepa --diagnostics            # trust-layer diagnostics
-    repro solve model.pepa --shadow dense           # cross-backend check
+    repro solve model.pepa --shadow gmres           # cross-backend check
     repro solve --list-backends
 
     repro solve model.pepa --emit-manifest run.json # record the run
@@ -35,7 +35,7 @@ Subcommands mirror the workflow of the paper::
     repro experiment fig3                           # regenerate a paper artifact
     repro metrics fig3 --workers 4                  # same, with solver metrics
 
-    repro profile model.pepa                        # fast-path vs naive derivation
+    repro profile model.pepa                        # derivation cost breakdown
     repro profile model.pepa --json
 
 Exit codes: 0 success, 1 library error, 2 usage error.
@@ -698,9 +698,9 @@ def _metrics_command(args: argparse.Namespace) -> int:
 
 
 def _profile_command(args: argparse.Namespace) -> int:
-    """Profile the derivation fast path against the naive reference.
+    """Profile the derivation of one PEPA model.
 
-    Both strategies run best-of-``--repeat`` with the content cache
+    Every strategy runs best-of-``--repeat`` with the content cache
     disabled, so every repetition pays the full derivation cost; the
     CSR-assembly time and memo-table hit rate come from the metrics
     registry (``derive.csr_assembly`` timer, ``derive.memo_*``
@@ -711,8 +711,8 @@ def _profile_command(args: argparse.Namespace) -> int:
 
     from repro.engine import cache_disabled, get_registry
     from repro.pepa import ctmc_of, parse_model
-    from repro.pepa.derivation import product_state_bound, select_derive_backend
-    from repro.pepa.statespace import derive, derive_reference
+    from repro.pepa.derivation import select_derive_backend
+    from repro.pepa.statespace import derive
 
     model = parse_model(pathlib.Path(args.model).read_text())
     registry = get_registry()
@@ -745,9 +745,6 @@ def _profile_command(args: argparse.Namespace) -> int:
             if csr_calls
             else 0.0
         )
-        naive_s, _ = best_of(
-            lambda: derive_reference(model, max_states=args.max_states)
-        )
         pop_s = pop_space = None
         from repro.pepa import derive_population, has_replicated_symmetry
 
@@ -763,14 +760,11 @@ def _profile_command(args: argparse.Namespace) -> int:
         "n_states": space.size,
         "n_transitions": space.n_transitions,
         "fast_seconds": fast_s,
-        "naive_seconds": naive_s,
-        "speedup": naive_s / fast_s if fast_s > 0 else float("inf"),
         "states_per_second": space.size / fast_s if fast_s > 0 else float("inf"),
         "csr_assembly_seconds": csr_seconds,
         "memo_hits": hits,
         "memo_misses": misses,
         "memo_hit_rate": hits / total if total else 0.0,
-        "product_state_bound": product_state_bound(model, cap=args.max_states),
         "auto_backend": select_derive_backend(model),
     }
     if pop_s is not None:
@@ -787,8 +781,6 @@ def _profile_command(args: argparse.Namespace) -> int:
     print(f"  transitions      : {report['n_transitions']}")
     print(f"  fast path        : {fast_s:.6f} s "
           f"({report['states_per_second']:.0f} states/s)")
-    print(f"  naive reference  : {naive_s:.6f} s")
-    print(f"  speedup          : {report['speedup']:.2f}x")
     print(f"  csr assembly     : {csr_seconds:.6f} s")
     print(f"  memo hit rate    : {report['memo_hit_rate']:.1%} "
           f"({hits} hits, {misses} misses)")
@@ -796,8 +788,6 @@ def _profile_command(args: argparse.Namespace) -> int:
         print(f"  population       : {pop_s:.6f} s "
               f"({report['population_states']} states, "
               f"{report['population_reduction']:.1f}x fewer)")
-    bound = report["product_state_bound"]
-    print(f"  product bound    : {bound if bound is not None else '(over budget)'}")
     print(f"  auto backend     : {report['auto_backend']}")
     return 0
 
@@ -1173,8 +1163,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="time the derivation fast path against the naive reference "
-        "on one PEPA model",
+        help="time the derivation of one PEPA model, layer by layer",
     )
     p.add_argument("model", help="PEPA model file")
     p.add_argument("--repeat", type=_positive_int, default=5,

@@ -3,7 +3,7 @@
 Each submodule registers its backends at import time:
 
 ``markov``
-    ``steady`` (sparse / dense / gmres / uniformization), ``transient``
+    ``steady`` (sparse / gmres / uniformization), ``transient``
     (uniformization / expm) and ``passage`` (uniformization / expm)
     over :class:`~repro.ir.markov.MarkovIR`.
 ``ssa``

@@ -3,8 +3,10 @@
 Thin adapters from :class:`~repro.ir.markov.MarkovIR` onto the shared
 numerics.  All three capabilities cache at the registry level under
 ``ir.steady`` / ``ir.transient`` / ``ir.passage``; the numerics below
-cache nothing.  Only the ``sparse`` steady backend holds a sparse LU,
-so only its results carry a condition estimate.
+cache nothing.  The steady backends are the PEPA workbench's three
+solvers: ``sparse`` (LU), ``gmres`` and ``uniformization`` (power
+method).  Only ``sparse`` holds a sparse LU, so only its results carry
+a condition estimate.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.errors import BackendError
+from repro.ir.guards import DENSE_STATE_LIMIT
 from repro.ir.markov import MarkovIR
 from repro.ir.registry import register_backend, register_fallback_chain
 from repro.numerics.steady import steady_state
@@ -25,9 +28,6 @@ from repro.numerics.transient import (
 )
 
 __all__ = ["PassageSolution", "DENSE_STATE_LIMIT"]
-
-#: Dense (``expm`` / LAPACK) backends refuse larger systems.
-DENSE_STATE_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ register_backend(
     default=True,
     revision=2,
 )
-register_backend("steady", "dense", _steady("dense"), accepts=(MarkovIR,))
 register_backend("steady", "gmres", _steady("gmres"), accepts=(MarkovIR,), revision=2)
 register_backend(
     "steady",
@@ -72,8 +71,8 @@ register_backend(
 )
 
 # An iterative steady solve that fails to converge falls back to the
-# sparse direct factorization, then (for small systems) dense LAPACK.
-register_fallback_chain("steady", ("gmres", "sparse", "dense"))
+# sparse direct factorization.
+register_fallback_chain("steady", ("gmres", "sparse"))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ Sentinels (:func:`verify`)
     stoichiometric sums.  A violation raises
     :class:`~repro.errors.NumericalTrustError` carrying the invariant,
     backend and IR cache token — which the fallback chains treat as
-    recoverable, so a sentinel failure on ``gmres`` degrades through
-    ``sparse`` to ``dense`` exactly like a raised exception.
+    recoverable, so a sentinel failure on ``gmres`` degrades to
+    ``sparse`` exactly like a raised exception.
 
 Diagnostics
     Each verified solve also yields a measurement dictionary (residual
@@ -32,8 +32,9 @@ Shadow verification
     The cheap production analogue of the paper's container-vs-native
     identical-output validation: ``$REPRO_SHADOW_RATE`` (or ``repro
     solve --shadow BACKEND``) re-solves a deterministic sample of
-    requests on an independent backend — steady: dense vs. sparse, ode:
-    rk4 vs. scipy — and quarantines disagreements above tolerance as
+    requests on an independent backend — steady: sparse LU vs. GMRES,
+    transient/passage: expm vs. uniformization, ode: rk4 vs. scipy — and
+    quarantines disagreements above tolerance as
     ``ir.trust.shadow_mismatch``.
 
 Layering: this module sits beside the registry (``ir``), importing only
@@ -63,6 +64,7 @@ __all__ = [
     "RESIDUAL_RTOL",
     "ODE_NEGATIVE_ATOL",
     "DEFAULT_SHADOW_TOL",
+    "DENSE_STATE_LIMIT",
     "verify",
     "note",
     "reset_notes",
@@ -107,25 +109,25 @@ _SHADOW_TOL_ENV = "REPRO_SHADOW_TOL"
 
 #: Preferred shadow partners per capability, most-independent first.
 _SHADOW_PARTNERS = {
-    "steady": ("dense", "sparse", "gmres"),
+    "steady": ("sparse", "gmres"),
     "transient": ("expm", "uniformization"),
     "passage": ("expm", "uniformization"),
     "ode": ("rk4", "scipy"),
 }
 
-#: Dense/expm partners refuse systems larger than this (mirrors
-#: ``repro.ir.backends.markov.DENSE_STATE_LIMIT``).
-_DENSE_PARTNER_LIMIT = 2000
+#: The dense ``expm`` backends (``repro.ir.backends.markov``) refuse
+#: larger systems, so they are never picked as shadow partners for one.
+DENSE_STATE_LIMIT = 2000
 
 #: Frontend-registered shadow strategies, ``capability -> (partner_fn,
 #: compare_fn)``.  Layering keeps this module below the frontends, so
 #: capabilities whose shadow pass needs frontend knowledge (``derive``:
 #: comparing a lumped chain against the orbit projection of an explicit
 #: one requires the PEPA symmetry analysis) register a hook instead of
-#: being hard-coded here.  ``partner_fn(primary, ir) -> str | None``
-#: picks the re-solve backend; ``compare_fn(ir, result, shadow_result)
-#: -> float`` returns the max-abs style disagreement (``inf`` for a
-#: structural mismatch).
+#: being hard-coded here.  ``partner_fn(primary, ir, result) -> str |
+#: None`` picks the re-solve backend given the primary's result;
+#: ``compare_fn(ir, result, shadow_result) -> float`` returns the
+#: max-abs style disagreement (``inf`` for a structural mismatch).
 _SHADOW_HOOKS: dict = {}
 
 
@@ -610,15 +612,16 @@ def reset_shadow_state() -> None:
 
 
 def shadow_backend(
-    capability: str, primary: str, ir, explicit: str | None = None
+    capability: str, primary: str, ir, result=None, explicit: str | None = None
 ) -> str | None:
     """Choose the independent backend to re-solve on (``None`` = skip).
 
     ``explicit`` (the CLI's ``--shadow``) wins when it differs from the
-    primary; otherwise the first partner in the capability's preference
-    list that is not the primary and fits the system size.  ``ssa`` is
-    never shadowed — independent backends consume different RNG streams,
-    so disagreement is expected, not suspicious.
+    primary; then a registered hook, which also sees the primary's
+    ``result``; otherwise the first partner in the capability's
+    preference list that is not the primary and fits the system size.
+    ``ssa`` is never shadowed — independent backends consume different
+    RNG streams, so disagreement is expected, not suspicious.
     """
     if capability == "ssa":
         return None
@@ -626,12 +629,12 @@ def shadow_backend(
         return explicit if explicit != primary else None
     hook = _SHADOW_HOOKS.get(capability)
     if hook is not None:
-        return hook[0](primary, ir)
+        return hook[0](primary, ir, result)
     n_states = getattr(ir, "n_states", 0)
     for name in _SHADOW_PARTNERS.get(capability, ()):
         if name == primary:
             continue
-        if name in ("dense", "expm") and n_states > _DENSE_PARTNER_LIMIT:
+        if name == "expm" and n_states > DENSE_STATE_LIMIT:
             continue
         return name
     return None

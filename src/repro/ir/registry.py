@@ -30,8 +30,8 @@ counters) opt out per registration.
 Fallback chains
 ---------------
 A capability may declare an ordered *fallback chain*
-(:func:`register_fallback_chain`) — e.g. ``steady: gmres → sparse →
-dense``.  When the requested backend fails with an error the chain
+(:func:`register_fallback_chain`) — e.g. ``steady: gmres → sparse``.
+When the requested backend fails with an error the chain
 declares recoverable (by default :data:`RECOVERABLE`:
 :class:`~repro.errors.ConvergenceError` /
 :class:`~repro.errors.SingularGeneratorError` /
@@ -324,7 +324,7 @@ def _maybe_shadow(capability: str, be: _Backend, ir, result, params: dict,
     if rate <= 0.0 or not guards.shadow_due(capability, rate):
         return
     reg = get_registry()
-    partner = guards.shadow_backend(capability, be.name, ir, explicit=explicit)
+    partner = guards.shadow_backend(capability, be.name, ir, result, explicit)
     if partner is not None:
         partner = _ALIASES.get((capability, partner), partner)
     shadow_be = _REGISTRY.get((capability, partner)) if partner else None
@@ -359,10 +359,13 @@ def solve(ir, capability: str, backend: str | None = None, fallback: bool = True
     the *first* error is re-raised.
 
     ``shadow`` names a backend to re-solve on and compare against
-    (``repro solve --shadow``); without it, ``$REPRO_SHADOW_RATE``
-    shadow-verifies a deterministic sample of requests.
+    (``repro solve --shadow``; an unknown name fails like an unknown
+    ``backend``); without it, ``$REPRO_SHADOW_RATE`` shadow-verifies a
+    deterministic sample of requests.
     """
     be = get_backend(capability, backend)
+    if shadow is not None:
+        get_backend(capability, shadow)
     if not isinstance(ir, be.accepts):
         names = " or ".join(t.__name__ for t in be.accepts)
         raise BackendError(

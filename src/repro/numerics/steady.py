@@ -5,7 +5,12 @@ CTMC with generator ``Q`` satisfies::
 
     pi @ Q = 0,    sum(pi) = 1,    pi >= 0
 
-Three methods are provided, matching the ablation D1 in DESIGN.md:
+It is unique exactly when ``Q`` has one closed communicating class
+(transient states are allowed); :func:`steady_state` checks that once,
+before any method runs, so every method refuses the same chains.
+
+Three methods are provided, matching the ablation D1 in DESIGN.md and
+the PEPA workbench's steady solvers:
 
 ``direct``
     Replace one balance equation by the normalization constraint and
@@ -39,8 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from repro.engine import faults
@@ -50,11 +55,7 @@ from repro.numerics import diagnostics
 
 __all__ = ["steady_state", "SteadyStateResult", "validate_generator"]
 
-_METHODS = ("direct", "dense", "gmres", "power")
-
-#: The dense LAPACK solver materializes the full matrix; refuse sizes
-#: where that silently burns memory for no accuracy gain.
-_DENSE_LIMIT = 2000
+_METHODS = ("direct", "gmres", "power")
 
 #: Column ordering of the ``direct`` LU and the ``gmres`` ILU (see the
 #: module docstring); changing it needs a ``sparse``/``gmres`` revision.
@@ -161,26 +162,6 @@ def _solve_direct(Q: sp.csr_matrix) -> tuple[np.ndarray, float | None]:
     return pi, diagnostics.condition_estimate(A, lu)
 
 
-def _solve_dense(Q: sp.csr_matrix) -> tuple[np.ndarray, int]:
-    """LAPACK solve of the replaced system on the densified matrix.
-
-    The ablation baseline for the sparse-LU workhorse: identical
-    construction, dense factorization.  Limited to small systems.
-    """
-    n = Q.shape[0]
-    if n > _DENSE_LIMIT:
-        raise SingularGeneratorError(
-            f"dense steady-state solve is limited to {_DENSE_LIMIT} states "
-            f"(got {n}); use the sparse direct method"
-        )
-    A, b = _replaced_system(Q)
-    try:
-        pi = scipy.linalg.solve(A.toarray(), b)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularGeneratorError(f"dense solve failed: {exc}") from exc
-    return pi, 0
-
-
 def _solve_gmres(Q: sp.csr_matrix, tol: float, maxiter: int) -> tuple[np.ndarray, int]:
     A, b = _replaced_system(Q)
     n = A.shape[0]
@@ -251,8 +232,7 @@ def steady_state(
     Q:
         Sparse ``n x n`` generator, row convention (rows sum to zero).
     method:
-        ``"direct"`` (sparse LU), ``"dense"`` (LAPACK, small systems),
-        ``"gmres"`` or ``"power"``.
+        ``"direct"`` (sparse LU), ``"gmres"`` or ``"power"``.
     tol:
         Convergence tolerance for the iterative methods and the residual
         acceptance threshold for all methods.
@@ -269,7 +249,8 @@ def steady_state(
     Raises
     ------
     SingularGeneratorError
-        If the chain is reducible/absorbing so no unique solution exists.
+        If the chain has an absorbing state or more than one closed
+        communicating class, so no unique solution exists.
     ConvergenceError
         If an iterative method exhausts ``maxiter``.
     """
@@ -287,6 +268,12 @@ def steady_state(
         raise SingularGeneratorError(
             f"state {dead} is absorbing (no outgoing transitions); "
             "the CTMC has no unique equilibrium"
+        )
+    closed = _closed_classes(Q)
+    if closed != 1:
+        raise SingularGeneratorError(
+            f"the CTMC has {closed} closed communicating classes; "
+            "it has no unique equilibrium"
         )
     with get_registry().timer("steady_state") as gauges:
         result = _solve_and_check(Q, method, tol, maxiter, diag)
@@ -306,6 +293,26 @@ def steady_state(
     return result
 
 
+def _closed_classes(Q: sp.csr_matrix) -> int:
+    """Number of closed communicating classes of the generator ``Q``.
+
+    A strongly connected component is closed when no rate leaves it; a
+    finite chain always has at least one.  Every stored off-diagonal
+    entry is a rate, so every one but an explicit zero is an edge.
+    """
+    if not Q.data.all():
+        Q = Q.copy()
+        Q.eliminate_zeros()
+    n_classes, label = csgraph.connected_components(
+        Q, directed=True, connection="strong"
+    )
+    if n_classes == 1:
+        return 1
+    source = np.repeat(label, np.diff(Q.indptr))
+    leaves = source != label[Q.indices]
+    return n_classes - np.unique(source[leaves]).size
+
+
 def _solve_and_check(
     Q: sp.csr_matrix, method: str, tol: float, maxiter: int, diag: np.ndarray
 ) -> SteadyStateResult:
@@ -315,8 +322,6 @@ def _solve_and_check(
     kappa, iters = None, 0
     if method == "direct":
         pi, kappa = _solve_direct(Q)
-    elif method == "dense":
-        pi, iters = _solve_dense(Q)
     elif method == "gmres":
         pi, iters = _solve_gmres(Q, tol, maxiter)
     else:

@@ -66,7 +66,7 @@ class CTMC:
 
     def steady_state(self, method: str = "direct", **kwargs) -> SteadyStateResult:
         """Equilibrium distribution via the ``steady`` capability of the
-        backend registry (``direct``/``dense``/``gmres``/``power``...).
+        backend registry (``direct``/``gmres``/``power``...).
 
         Raises
         ------

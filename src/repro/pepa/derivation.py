@@ -45,8 +45,9 @@ degrades to explicit derivation instead of failing the solve.
 
 The module also registers the ``derive`` shadow hook with the trust
 layer: sampled ``population`` derivations are re-derived explicitly
-(when the product bound says the explicit space fits) and the lumped
-generator is compared against the orbit projection of the explicit one.
+(when the exact explicit state count their orbits record fits a modest
+budget) and the lumped generator is compared against the orbit
+projection of the explicit one.
 """
 
 from __future__ import annotations
@@ -65,21 +66,13 @@ from repro.pepa.population import (
     has_replicated_symmetry,
     population_markov_ir,
 )
-from repro.pepa.semantics import SequentialSemantics
 from repro.pepa.statespace import derive
-from repro.pepa.syntax import (
-    Cooperation,
-    Hiding,
-    Model,
-    ProcessTerm,
-    expand_aggregations,
-)
+from repro.pepa.syntax import Model
 
 __all__ = [
     "derive_explicit",
     "derive_population",
     "derive_auto",
-    "product_state_bound",
     "resolve_derive_backend",
     "select_derive_backend",
 ]
@@ -93,46 +86,6 @@ def derive_explicit(model: Model, max_states: int = 1_000_000) -> MarkovIR:
 def derive_population(model: Model, max_states: int = 1_000_000) -> MarkovIR:
     """Population-form derivation: one state per replica-symmetry orbit."""
     return population_markov_ir(model, max_states=max_states)
-
-
-def product_state_bound(model: Model, cap: int = 10_000_000) -> int | None:
-    """Upper bound on the explicit state count, or ``None`` if unknown.
-
-    Multiplies the local-derivative counts of the sequential leaves
-    (each bounded by a BFS of its local chain).  Returns ``None`` when
-    the bound exceeds ``cap`` or a leaf cannot be walked — both mean
-    "the explicit space may not fit".
-    """
-    semantics = SequentialSemantics(model)
-
-    def leaf_terms(term: ProcessTerm) -> list[ProcessTerm]:
-        if isinstance(term, Cooperation):
-            return leaf_terms(term.left) + leaf_terms(term.right)
-        if isinstance(term, Hiding):
-            return leaf_terms(term.process)
-        return [term]
-
-    bound = 1
-    try:
-        for initial in leaf_terms(expand_aggregations(model.system)):
-            seen = {initial}
-            frontier = [initial]
-            while frontier:
-                term = frontier.pop()
-                for tr in semantics.transitions(term):
-                    if tr.target not in seen:
-                        seen.add(tr.target)
-                        frontier.append(tr.target)
-                if len(seen) > cap:
-                    return None
-            bound *= len(seen)
-            if bound > cap:
-                return None
-    except Exception:
-        # Ill-formed leaves are diagnosed by the chosen strategy itself,
-        # with its proper error; the selector just declines to guess.
-        return None
-    return bound
 
 
 def select_derive_backend(model: Model) -> str:
@@ -174,21 +127,21 @@ def derive_auto(model: Model, max_states: int = 1_000_000) -> MarkovIR:
 _SHADOW_EXPLICIT_LIMIT = 20_000
 
 
-def _derive_shadow_partner(primary: str, model) -> str | None:
+def _derive_shadow_partner(primary: str, model, result) -> str | None:
     """Shadow partner for sampled ``derive`` dispatches.
 
     Only population-form derivations are shadowed (explicit derivation
     is property-tested against the reference walk), and only when the
-    full product space provably fits a modest budget — otherwise the
-    explicit re-derivation the shadow pass would run could itself blow
-    up.
+    explicit space — whose exact size the result's orbits record — fits
+    a modest budget; otherwise the explicit re-derivation the shadow
+    pass would run could itself blow up.
     """
     if primary not in ("population", "lumped"):
         return None
     if not isinstance(model, Model):
         return None
-    bound = product_state_bound(model, cap=_SHADOW_EXPLICIT_LIMIT)
-    if bound is None:
+    orbits = getattr(result, "orbits", None)
+    if orbits is None or orbits.full_states > _SHADOW_EXPLICIT_LIMIT:
         return None
     return "explicit"
 

@@ -6,17 +6,20 @@ graph of a component: nodes are states, edges are activities labelled
 
 * :func:`derivation_graph` — the full global derivation graph as a
   :class:`networkx.MultiDiGraph` (parallel activities preserved);
-* :func:`activity_graph` — the projection onto one leaf component
-  (local derivatives and the activities that move them), which is what
-  the Fig. 2 diagram shows for machine ``M3``;
+* :func:`activity_graph` — one leaf component's own activities
+  between its local derivatives, at the rates its definition declares,
+  which is what the Fig. 2 diagram shows for machine ``M3``;
 * :func:`to_dot` — Graphviz DOT text for either graph, so diagrams can
   be rendered outside this library.
 """
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 
+from repro.pepa.semantics import TAU, SequentialSemantics
 from repro.pepa.statespace import StateSpace
 
 __all__ = ["derivation_graph", "activity_graph", "to_dot"]
@@ -43,33 +46,47 @@ def derivation_graph(space: StateSpace) -> nx.MultiDiGraph:
 
 
 def activity_graph(space: StateSpace, leaf: int | str) -> nx.MultiDiGraph:
-    """Activity diagram of one component: nodes are the leaf's local
-    derivatives; an edge ``u -> v`` labelled ``(a, r)`` is included when
-    some global transition performs ``a`` at rate ``r`` while moving the
-    leaf from ``u`` to ``v``.  Transitions that leave the leaf unchanged
-    are omitted — they are other components' activities.
+    """Activity diagram of one component: nodes are the leaf's reachable
+    local derivatives; an edge ``u -> v`` labelled ``(a, r)`` is a local
+    transition of the leaf's sequential definition, at the rate ``r``
+    that definition declares, drawn when some global transition enacts
+    it (moves the leaf from ``u`` to ``v`` by ``a``, or by ``tau`` where
+    ``a`` is hidden).  The rate a cooperation enacts it at — a partner's
+    bounded capacity, say — belongs to the partner, not to this diagram.
+    Local self-loops are omitted.  Passive activities carry rate
+    ``inf`` and an ``infty`` label.
     """
     k = space.leaf_index(leaf) if isinstance(leaf, str) else leaf
     g = nx.MultiDiGraph(name=f"activity diagram of {space.leaves[k].name}")
-    for j in range(len(space.local_terms[k])):
-        g.add_node(j, label=space.local_label(k, j))
+    terms = space.local_terms[k]
+    index = {term: j for j, term in enumerate(terms)}
+    enacted = {
+        (space.states[tr.source][k], space.states[tr.target][k], tr.action)
+        for tr in space.transitions
+    }
+    semantics = SequentialSemantics(space.model)
     # Dedup on the full activity (action AND rate): a component may move
     # u -> v via the same action at different rates (parallel edges from
     # distinct prefixes), and the diagram must show each of them.
-    seen: set[tuple[int, int, str, float]] = set()
-    for tr in space.transitions:
-        u = space.states[tr.source][k]
-        v = space.states[tr.target][k]
-        if u == v:
-            continue
-        key = (u, v, tr.action, tr.rate)
-        if key in seen:
-            continue
-        seen.add(key)
-        g.add_edge(u, v, action=tr.action, rate=tr.rate, label=f"({tr.action}, {tr.rate:g})")
-    # Drop unreachable local derivatives (interned but never visited).
-    reachable = {space.states[i][k] for i in range(space.size)}
-    g.remove_nodes_from([n for n in list(g.nodes) if n not in reachable])
+    seen: set[tuple] = set()
+    for u in sorted({state[k] for state in space.states}):
+        g.add_node(u, label=space.local_label(k, u))
+        for tr in semantics.transitions(terms[u]):
+            v = index.get(tr.target)
+            key = (u, v, tr.action, tr.rate)
+            if v is None or v == u or key in seen:
+                continue
+            if (u, v, tr.action) not in enacted and (u, v, TAU) not in enacted:
+                continue
+            seen.add(key)
+            if tr.rate.is_passive:
+                w = tr.rate.weight
+                rate, shown = math.inf, "infty" if w == 1.0 else f"{w:g}*infty"
+            else:
+                rate = tr.rate.value
+                shown = f"{rate:g}"
+            g.add_edge(u, v, action=tr.action, rate=rate,
+                       label=f"({tr.action}, {shown})")
     return g
 
 

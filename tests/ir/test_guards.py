@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.engine import faults, get_registry
+from repro.engine import cache_override, faults, get_registry
 from repro.errors import NumericalTrustError, SingularGeneratorError
 from repro.ir import MarkovIR, ReactionIR, guards, solve
 
@@ -182,18 +182,18 @@ class TestDegenerateModels:
 
 
 class TestChaosInjection:
-    def test_silent_garbage_degrades_to_bitwise_dense(self):
+    def test_silent_garbage_degrades_to_bitwise_sparse(self):
         """The acceptance scenario: a silently-wrong steady solve is
-        caught by the residual sentinel, degrades gmres -> sparse ->
-        dense, and the served vector is bit-identical to a clean dense
-        solve."""
+        caught by the residual sentinel, degrades gmres -> sparse, and
+        the served vector is bit-identical to a clean sparse solve."""
         ir = ring_ir(5, rate=2.0)
-        clean = solve(ir, "steady", backend="dense", fallback=False)
-        spec = faults.FaultSpec("solver_silent_garbage", times=2)
-        with faults.inject(spec) as plan:
-            result = solve(ir, "steady", backend="gmres")
-            assert plan.fired("solver_silent_garbage") == 2
-        assert result.meta["backend"] == "dense"
+        with cache_override(False):
+            clean = solve(ir, "steady", backend="sparse", fallback=False)
+            spec = faults.FaultSpec("solver_silent_garbage", times=1)
+            with faults.inject(spec) as plan:
+                result = solve(ir, "steady", backend="gmres")
+                assert plan.fired("solver_silent_garbage") == 1
+        assert result.meta["backend"] == "sparse"
         assert result.meta["fallback_from"] == "gmres"
         assert "residual" in result.meta["fallback_error"]
         assert np.array_equal(result.pi, clean.pi)
@@ -214,11 +214,11 @@ class TestChaosInjection:
 
     def test_injected_sentinel_violation_falls_back(self):
         ir = ring_ir(3)
-        spec = faults.FaultSpec("sentinel_violation", backend="sparse")
+        spec = faults.FaultSpec("sentinel_violation", backend="gmres")
         with faults.inject(spec) as plan:
-            result = solve(ir, "steady")
+            result = solve(ir, "steady", backend="gmres")
             assert plan.fired("sentinel_violation") == 1
-        assert result.meta["fallback_from"] == "sparse"
+        assert result.meta["fallback_from"] == "gmres"
         assert "injected" in result.meta["fallback_error"]
 
     def test_injected_shadow_mismatch_quarantines(self):
@@ -226,7 +226,7 @@ class TestChaosInjection:
         before = counter("ir.trust.shadow_mismatch")
         with faults.inject(faults.FaultSpec("shadow_mismatch")):
             with pytest.raises(NumericalTrustError, match="disagrees") as info:
-                solve(ir, "steady", shadow="dense")
+                solve(ir, "steady", shadow="gmres")
         assert info.value.invariant == "shadow_mismatch"
         assert counter("ir.trust.shadow_mismatch") == before + 1
 
@@ -234,9 +234,9 @@ class TestChaosInjection:
 class TestShadowVerification:
     def test_explicit_shadow_agrees(self):
         ir = ring_ir(4)
-        result = solve(ir, "steady", shadow="dense")
+        result = solve(ir, "steady", shadow="gmres")
         d = result.meta["diagnostics"]
-        assert d["shadow_backend"] == "dense"
+        assert d["shadow_backend"] == "gmres"
         assert d["shadow_max_abs"] <= d["shadow_tolerance"]
 
     def test_ode_shadow_across_integrators(self):
@@ -249,7 +249,7 @@ class TestShadowVerification:
     def test_shadow_same_backend_is_skipped(self):
         ir = ring_ir(4)
         before = counter("ir.trust.shadow.skipped")
-        result = solve(ir, "steady", backend="dense", shadow="dense")
+        result = solve(ir, "steady", backend="gmres", shadow="gmres")
         assert "shadow_backend" not in result.meta["diagnostics"]
         assert counter("ir.trust.shadow.skipped") == before + 1
 
@@ -262,12 +262,16 @@ class TestShadowVerification:
 
     def test_partner_selection(self):
         small = ring_ir(3)
-        assert guards.shadow_backend("steady", "sparse", small) == "dense"
-        assert guards.shadow_backend("steady", "dense", small) == "sparse"
+        assert guards.shadow_backend("steady", "sparse", small) == "gmres"
+        assert guards.shadow_backend("steady", "gmres", small) == "sparse"
+        assert guards.shadow_backend("steady", "uniformization", small) == "sparse"
         assert guards.shadow_backend("ode", "scipy", None) == "rk4"
-        # Dense partners are skipped above the dense state limit.
-        big = SimpleNamespace(n_states=guards._DENSE_PARTNER_LIMIT + 1)
-        assert guards.shadow_backend("steady", "sparse", big) == "gmres"
+        # Dense expm partners are skipped above the dense state limit.
+        limit = guards.DENSE_STATE_LIMIT
+        fits = SimpleNamespace(n_states=limit)
+        assert guards.shadow_backend("transient", "uniformization", fits) == "expm"
+        big = SimpleNamespace(n_states=limit + 1)
+        assert guards.shadow_backend("transient", "uniformization", big) is None
 
     def test_sampling_is_deterministic_and_stratified(self):
         guards.reset_shadow_state()
@@ -293,7 +297,7 @@ class TestShadowVerification:
         ir = ring_ir(3)
         a = SimpleNamespace(pi=np.array([0.5, 0.25, 0.25]))
         with pytest.warns(RuntimeWarning, match="REPRO_SHADOW_TOL"):
-            info = guards.shadow_compare("steady", "sparse", "dense", ir, a, a)
+            info = guards.shadow_compare("steady", "sparse", "gmres", ir, a, a)
         assert info["shadow_tolerance"] == guards.DEFAULT_SHADOW_TOL["steady"]
 
     def test_env_rate_shadows_every_solve(self, monkeypatch):
@@ -303,7 +307,7 @@ class TestShadowVerification:
         ir = ring_ir(4, rate=0.7)
         result = solve(ir, "steady")
         assert counter("ir.trust.shadow.checked") == before + 1
-        assert result.meta["diagnostics"]["shadow_backend"] == "dense"
+        assert result.meta["diagnostics"]["shadow_backend"] == "gmres"
         guards.reset_shadow_state()
 
     def test_shadow_compare_shape_mismatch_is_a_mismatch(self):
@@ -311,7 +315,7 @@ class TestShadowVerification:
         a = SimpleNamespace(pi=np.array([0.5, 0.25, 0.25]))
         b = SimpleNamespace(pi=np.array([0.5, 0.5]))
         with pytest.raises(NumericalTrustError, match="disagrees"):
-            guards.shadow_compare("steady", "sparse", "dense", ir, a, b)
+            guards.shadow_compare("steady", "sparse", "gmres", ir, a, b)
 
 
 class TestOdeDiagnostics:

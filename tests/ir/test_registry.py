@@ -35,7 +35,7 @@ class TestDiscovery:
         listing = available_backends()
         numeric = {c: n for c, n in listing.items() if c != "derive"}
         assert numeric == {
-            "steady": ("dense", "gmres", "sparse", "uniformization"),
+            "steady": ("gmres", "sparse", "uniformization"),
             "transient": ("expm", "uniformization"),
             "passage": ("expm", "uniformization"),
             "ssa": ("direct", "next-reaction"),
@@ -92,16 +92,16 @@ class TestDispatch:
         ir = ring_ir()
         reference = solve(ir, "steady").pi
         np.testing.assert_allclose(reference, np.full(4, 0.25), atol=1e-12)
-        for backend in ("dense", "gmres", "uniformization"):
+        for backend in ("gmres", "uniformization"):
             pi = solve(ir, "steady", backend=backend).pi
             np.testing.assert_allclose(pi, reference, atol=1e-8)
 
     def test_counter_and_backend_meta(self):
         reg = get_registry()
-        before = reg.counter("ir.steady.dense")
-        result = solve(ring_ir(), "steady", backend="dense")
-        assert reg.counter("ir.steady.dense") == before + 1
-        assert result.meta["backend"] == "dense"
+        before = reg.counter("ir.steady.gmres")
+        result = solve(ring_ir(), "steady", backend="gmres")
+        assert reg.counter("ir.steady.gmres") == before + 1
+        assert result.meta["backend"] == "gmres"
 
     def test_passage_caches_at_registry_level(self):
         ir = ring_ir(5)
@@ -147,7 +147,7 @@ class TestDispatch:
 
 class TestFallbackChains:
     def test_registered_chains(self):
-        assert fallback_chain("steady") == ("gmres", "sparse", "dense")
+        assert fallback_chain("steady") == ("gmres", "sparse")
         assert fallback_chain("transient") == ("expm", "uniformization")
         assert fallback_chain("passage") == ("expm", "uniformization")
         assert fallback_chain("ode") == ("scipy", "rk4")
@@ -245,7 +245,7 @@ class TestOneSteadyPath:
         assert blank.condition_estimate is None
         assert canonical_key("r", result) == canonical_key("r", blank)
 
-    @pytest.mark.parametrize("backend", ["dense", "gmres", "uniformization"])
+    @pytest.mark.parametrize("backend", ["gmres", "uniformization"])
     def test_backends_without_a_sparse_lu_report_none(self, backend):
         result = solve(ring_ir(5), "steady", backend=backend)
         assert result.meta["diagnostics"]["condition_estimate"] is None
@@ -325,11 +325,11 @@ class TestRevisionInTheCacheKey:
         from repro.ir import registry
 
         monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
-        dense = get_backend("steady", "dense").func
+        power = get_backend("steady", "uniformization").func
 
         def probe(revision):
             registry.register_backend(
-                "steady", "probe", dense, accepts=(MarkovIR,),
+                "steady", "probe", power, accepts=(MarkovIR,),
                 revision=revision,
             )
             get_cache().clear()  # only the disk layer may answer

@@ -187,10 +187,46 @@ class TestValidation:
             steady_state(Q)
 
     def test_reducible_chain_rejected(self):
-        # Two disconnected 2-state chains: no unique steady state.
+        # Two disconnected 2-state chains: no unique steady state, and
+        # no method may return one (gmres and power used to).
         Q = sp.block_diag([two_state(1.0, 1.0), two_state(2.0, 2.0)]).tocsr()
-        with pytest.raises(SingularGeneratorError):
-            steady_state(Q, method="direct")
+        for method in ("direct", "gmres", "power"):
+            with pytest.raises(SingularGeneratorError, match="2 closed"):
+                steady_state(Q, method=method)
+
+    @pytest.mark.parametrize("method", ["direct", "gmres", "power"])
+    def test_transient_state_feeding_two_closed_classes_rejected(self, method):
+        # State 0 is transient and drains into {1, 2} and {3, 4}: the
+        # stationary vector depends on the split, so none is unique.
+        Q = np.zeros((5, 5))
+        Q[0, 1] = Q[0, 3] = 1.0
+        Q[1, 2] = Q[2, 1] = 1.0
+        Q[3, 4] = Q[4, 3] = 2.0
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        with pytest.raises(SingularGeneratorError, match="2 closed"):
+            steady_state(sp.csr_matrix(Q), method=method)
+
+    def test_stored_zero_rate_joins_no_classes(self):
+        # {0, 1} and {2, 3} are joined only by an explicitly stored 0.0
+        # from state 0 to state 2, which is not a rate.
+        rows = [0, 0, 0, 1, 1, 2, 2, 3, 3]
+        cols = [0, 1, 2, 0, 1, 2, 3, 2, 3]
+        data = [-1.0, 1.0, 0.0, 1.0, -1.0, -2.0, 2.0, 2.0, -2.0]
+        Q = sp.csr_matrix((data, (rows, cols)), shape=(4, 4))
+        assert Q.nnz == 9
+        with pytest.raises(SingularGeneratorError, match="2 closed"):
+            steady_state(Q)
+
+    @pytest.mark.parametrize("method", ["direct", "gmres", "power"])
+    def test_transient_states_with_one_closed_class_solve(self, method):
+        # 0 -> 1 is transient; {1, 2} is the one closed class.
+        Q = np.zeros((3, 3))
+        Q[0, 1] = 1.0
+        Q[1, 2] = 1.0
+        Q[2, 1] = 3.0
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        result = steady_state(sp.csr_matrix(Q), method=method, tol=1e-12)
+        np.testing.assert_allclose(result.pi, [0.0, 0.75, 0.25], atol=1e-8)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):

@@ -94,6 +94,52 @@ class TestActivityGraph:
         assert len(a_edges) == 2
         assert {d["rate"] for _u, _v, d in a_edges} == {1.0, 2.0}
 
+    def test_cooperation_rate_is_not_the_components(self):
+        # P's a is enacted at min(1.0, 3.0) and at min(1.0, 0.5) while a
+        # capacity partner switches modes; P's own activity is (a, 1.0).
+        space = derive(
+            parse_model(
+                """
+                P = (a, 1.0).P1; P1 = (b, 2.0).P;
+                Fast = (a, 3.0).Fast + (slow, 1.0).Slow;
+                Slow = (a, 0.5).Slow + (fast, 1.0).Fast;
+                P <a> Fast
+                """
+            )
+        )
+        g = activity_graph(space, "P")
+        assert sorted(d["label"] for _u, _v, d in g.edges(data=True)) == [
+            "(a, 1)", "(b, 2)",
+        ]
+
+    def test_passive_and_hidden_activities_use_local_names(self):
+        space = derive(
+            parse_model(
+                """
+                P = (a, 1.0).P1; P1 = (b, 2.0).P;
+                Q = (a, infty).Q1; Q1 = (c, 0.5).Q;
+                (P <a> Q) / {a}
+                """
+            )
+        )
+        g = activity_graph(space, "Q")
+        edges = {d["label"]: d["rate"] for _u, _v, d in g.edges(data=True)}
+        assert edges == {"(a, infty)": float("inf"), "(c, 0.5)": 0.5}
+
+    def test_activities_no_global_transition_enacts_are_omitted(self):
+        # Q never offers c, so P's (c, 4.0) branch is blocked.
+        space = derive(
+            parse_model(
+                """
+                P = (a, 1.0).P1 + (c, 4.0).P1; P1 = (b, 2.0).P;
+                Q = (a, 1.0).Q;
+                P <a, c> Q
+                """
+            )
+        )
+        g = activity_graph(space, "P")
+        assert {d["action"] for _u, _v, d in g.edges(data=True)} == {"a", "b"}
+
 
 class TestDot:
     def test_deterministic_output(self, space):

@@ -185,15 +185,13 @@ class TestProjectedMeasures:
 
 class TestScaling:
     def test_pc_lan_100_derives_in_population_form(self):
-        from repro.pepa.derivation import product_state_bound
-
         model = pc_lan(100)
         budget = 1_000_000
-        # The explicit space is provably over the budget...
-        assert product_state_bound(model, cap=budget) is None
-        # ...but the population form fits with room to spare.
+        # The population form fits with room to spare...
         space = derive_population(model, max_states=budget)
         assert space.size == 101
+        # ...while the explicit space it stands for is far over budget.
+        assert space.orbit_info.full_states > budget
         assert space.orbit_info.full_states == 2 ** 100
 
     def test_population_budget_enforced(self):
@@ -355,12 +353,17 @@ class TestShadowVerification:
 
     def test_partner_skips_huge_explicit_spaces(self):
         from repro.pepa.derivation import _derive_shadow_partner
+        from repro.pepa.derivation import derive_population as lumped_ir
 
-        assert _derive_shadow_partner("population", pc_lan(4)) == "explicit"
+        small, huge = pc_lan(4), pc_lan(100)
+        assert (
+            _derive_shadow_partner("population", small, lumped_ir(small))
+            == "explicit"
+        )
         # 2^100 explicit states: re-deriving explicitly is not affordable.
-        assert _derive_shadow_partner("population", pc_lan(100)) is None
+        assert _derive_shadow_partner("population", huge, lumped_ir(huge)) is None
         # Non-population primaries are never shadowed.
-        assert _derive_shadow_partner("explicit", pc_lan(4)) is None
+        assert _derive_shadow_partner("explicit", small, None) is None
 
     def test_injected_mismatch_quarantined(self):
         from repro.engine import faults

@@ -63,8 +63,20 @@ class TestSolveSubcommand:
         assert "backend sparse" in out
 
     def test_steady_backend_override(self, model_file, capsys):
-        assert main(["solve", model_file, "--backend", "dense"]) == 0
-        assert "backend dense" in capsys.readouterr().out
+        assert main(["solve", model_file, "--backend", "gmres"]) == 0
+        assert "backend gmres" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--backend", "--shadow"])
+    def test_removed_dense_backend_is_refused_in_one_line(
+        self, model_file, capsys, flag
+    ):
+        assert main(["solve", model_file, flag, "dense"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "error: no 'steady' backend named 'dense'; available: "
+            "['gmres', 'sparse', 'uniformization']"
+        ]
 
     def test_unknown_backend_is_a_library_error(self, model_file, capsys):
         assert main(["solve", model_file, "--backend", "quantum"]) == 1
@@ -131,10 +143,10 @@ class TestTrustFlags:
 
     def test_shadow_flag_cross_checks(self, model_file, capsys):
         assert main(
-            ["solve", model_file, "--shadow", "dense", "--diagnostics"]
+            ["solve", model_file, "--shadow", "gmres", "--diagnostics"]
         ) == 0
         out = capsys.readouterr().out
-        assert "shadow_backend           dense" in out
+        assert "shadow_backend           gmres" in out
         assert "shadow_max_abs" in out
 
     def test_ode_shadow_across_integrators(self, tmp_path, capsys):
@@ -397,3 +409,40 @@ class TestExperimentCommand:
     def test_unknown_experiment_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+
+class TestProfileCommand:
+    def test_json_report(self, tmp_path, capsys, monkeypatch):
+        from repro.pepa import statespace
+        from repro.pepa.models import get_source
+
+        def oracle(*args, **kwargs):
+            raise AssertionError("profile must not run the test oracle")
+
+        monkeypatch.setattr(statespace, "derive_reference", oracle)
+        path = tmp_path / "lan.pepa"
+        path.write_text(get_source("pc_lan_4"))
+        assert main(["profile", str(path), "--repeat", "1", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {
+            "model", "repeat", "n_states", "n_transitions", "fast_seconds",
+            "states_per_second", "csr_assembly_seconds", "memo_hits",
+            "memo_misses", "memo_hit_rate", "auto_backend",
+            "population_seconds", "population_states",
+            "population_reduction",
+        }
+        assert report["repeat"] == 1
+        assert report["auto_backend"] == "population"
+        assert report["population_states"] < report["n_states"]
+        assert report["population_reduction"] == pytest.approx(
+            report["n_states"] / report["population_states"]
+        )
+        assert 0.0 <= report["memo_hit_rate"] <= 1.0
+        assert report["csr_assembly_seconds"] >= 0.0
+
+    def test_text_report_without_symmetry(self, model_file, capsys):
+        assert main(["profile", model_file, "--repeat", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "states           : 2" in out
+        assert "auto backend     : explicit" in out
+        assert "population" not in out

@@ -415,13 +415,25 @@ class TestDeriveBackendRecorded:
     def test_replay_of_removed_backend_fails_in_one_line(self, tmp_path):
         result = run_from_source("pepa", get_source("mm2_queue"), "steady")
         data = json.loads(result.meta["manifest"].to_json())
-        data["model"]["derive_backend"] = "kronecker"
-        path = tmp_path / "kronecker.json"
-        path.write_text(json.dumps(data))
-        assert _refused_replay(path) == [
-            "error: no 'derive' backend named 'kronecker'; available: "
-            "['auto', 'explicit', 'population']"
-        ]
+        kronecker = json.loads(json.dumps(data))
+        kronecker["model"]["derive_backend"] = "kronecker"
+        # A steady run on the retired dense LAPACK backend, as its
+        # manifest recorded it (revision 1, so no revision field).
+        dense = json.loads(json.dumps(data))
+        dense["backend"] = {
+            **{k: v for k, v in data["backend"].items() if k != "revision"},
+            "requested": "dense", "used": "dense", "chain": ["dense"],
+        }
+        expected = {
+            "kronecker": "error: no 'derive' backend named 'kronecker'; "
+            "available: ['auto', 'explicit', 'population']",
+            "dense": "error: no 'steady' backend named 'dense'; "
+            "available: ['gmres', 'sparse', 'uniformization']",
+        }
+        for name, manifest in (("kronecker", kronecker), ("dense", dense)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(manifest))
+            assert _refused_replay(path) == [expected[name]]
 
 
 #: Manifests emitted before backends carried a revision (kept verbatim
@@ -478,7 +490,7 @@ class TestBackendRevision:
 
         assert get_backend("steady", "sparse").revision == 2
         assert get_backend("steady", "gmres").revision == 2
-        assert get_backend("steady", "dense").revision == 1
+        assert get_backend("steady", "uniformization").revision == 1
         manifest = run_from_source(
             "pepa", get_source("active_badge"), "steady"
         ).meta["manifest"]
