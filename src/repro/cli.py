@@ -717,27 +717,32 @@ def _profile_command(args: argparse.Namespace) -> int:
     model = parse_model(pathlib.Path(args.model).read_text())
     registry = get_registry()
 
-    def best_of(fn):
+    def best_of(fn, then=None):
+        """Best time of ``fn`` over the repetitions; ``then`` runs on
+        each result, untimed."""
         best, result = float("inf"), None
         for _ in range(args.repeat):
             start = time.perf_counter()
             result = fn()
             best = min(best, time.perf_counter() - start)
+            if then is not None:
+                then(result)
         return best, result
 
     with cache_disabled():
         hits0 = registry.counter("derive.memo_hit")
         misses0 = registry.counter("derive.memo_miss")
-        fast_s, space = best_of(lambda: derive(model, max_states=args.max_states))
-        hits = registry.counter("derive.memo_hit") - hits0
-        misses = registry.counter("derive.memo_miss") - misses0
-        # Each repetition derived a fresh StateSpace, so ctmc_of's
-        # per-instance memo never hits here and the csr timer sees every
-        # assembly.
         csr0 = registry.timer_stat("derive.csr_assembly") or {
             "calls": 0, "total_seconds": 0.0,
         }
-        csr_s, _ = best_of(lambda: ctmc_of(derive(model, max_states=args.max_states)))
+        # Each repetition derives a fresh StateSpace, so ctmc_of's
+        # per-instance memo never hits here and the csr timer sees every
+        # assembly.
+        fast_s, space = best_of(
+            lambda: derive(model, max_states=args.max_states), then=ctmc_of
+        )
+        hits = registry.counter("derive.memo_hit") - hits0
+        misses = registry.counter("derive.memo_miss") - misses0
         csr1 = registry.timer_stat("derive.csr_assembly")
         csr_calls = csr1["calls"] - csr0["calls"]
         csr_seconds = (

@@ -66,6 +66,7 @@ from repro.pepa.syntax import Constant, Model, expand_aggregations, unparse
 __all__ = [
     "derive_population",
     "population_markov_ir",
+    "lower_population",
     "canonical_partition",
     "has_replicated_symmetry",
     "replicated_cluster_count",
@@ -371,9 +372,13 @@ def population_markov_ir(model: Model, max_states: int = 1_000_000) -> MarkovIR:
     the :class:`OrbitInfo` the trust layer's lumped-derive sentinel and
     the measure-projection helpers consume.
     """
+    return lower_population(derive_population(model, max_states=max_states))
+
+
+def lower_population(space: StateSpace) -> MarkovIR:
+    """The :class:`MarkovIR` of a :func:`derive_population` space."""
     from repro.pepa.ctmc import ctmc_of
 
-    space = derive_population(model, max_states=max_states)
     chain = ctmc_of(space)
     names = space.action_names
     return MarkovIR(

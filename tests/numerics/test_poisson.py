@@ -19,9 +19,11 @@ from repro.numerics import diagnostics, poisson, transient
 from repro.numerics.dtmc import uniformized_dtmc
 from repro.numerics.poisson import (
     _log_factorials,
+    _log_terms,
     poisson_truncation_point,
     poisson_weight_rows,
     poisson_weights,
+    uniformization_weights,
 )
 from repro.numerics.transient import transient_distribution
 from repro.pepa import ctmc_of, derive
@@ -319,6 +321,59 @@ class TestBitIdentityOracle:
         again = transient_distribution(Q, pi0, times)
         assert calls == []
         assert _same_bits(first, again)
+
+
+class TestLockstepWindowSweep:
+    """The lockstep window search against the per-rate oracle on whole
+    grids shaped like the makespan requests' (``lambda * linspace(0, 400,
+    200)``), with rates spliced in at the edges of every phase."""
+
+    EXTRA_RATES = [0.0, 1e-9, 24.9, 25.0, 25.1]
+
+    def _check(self, ms, eps):
+        k_lo, k_hi, W = poisson_weight_rows(ms, eps)
+        for row, lo, hi, m in zip(W, k_lo, k_hi, ms):
+            ref_lo, ref = _oracle_weights(m, eps)
+            assert (lo, hi) == (ref_lo, ref_lo + ref.size - 1)
+            assert _same_bits(row[lo : hi + 1], ref)
+            assert not row[:lo].any() and not row[hi + 1 :].any()
+
+    @pytest.mark.parametrize("lam", [0.05, 0.21, 0.85, 3.0])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-14])
+    def test_windows_and_rows(self, lam, eps):
+        grid = lam * np.linspace(0.0, 400.0, 200)
+        self._check(np.concatenate([grid, self.EXTRA_RATES]), eps)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-14, 1e-30])
+    def test_wide_rate_beside_the_edges(self, eps):
+        # A separate batch: its rows span ~1e5 columns each.  Only an
+        # epsilon far below 1e-14 makes the lower-tail walk take a step.
+        self._check(np.array([*self.EXTRA_RATES, 3000.0, 1e5]), eps)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.85, 3.0])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-14])
+    def test_sweep_truncation_point(self, lam, eps):
+        ms = lam * np.linspace(0.0, 400.0, 200)
+        k_lo, k_hi, W, k_max = uniformization_weights(ms, eps)
+        assert k_max == _oracle_truncation_point(float(ms.max()), eps)
+        ref = poisson_weight_rows(ms, eps)
+        assert all(_same_bits(a, b) for a, b in zip((k_lo, k_hi, W), ref))
+
+    def test_near_threshold_sums_use_math_log(self, monkeypatch):
+        # Sums within the margin of log(epsilon) are recomputed with
+        # math.log: an np.log one ulp off cannot reach them.
+        rng = np.random.default_rng(0)
+        x = 1.0 + rng.random(64) * 50.0
+        log_eps = math.log(1e-12)
+        exact = np.array([math.log(v) for v in x])
+        head = log_eps - exact + rng.normal(0.0, 1e-9, 64)
+        real_log = np.log
+        monkeypatch.setattr(np, "log", lambda v: np.nextafter(real_log(v), np.inf))
+        assert _same_bits(_log_terms(x, head, log_eps), head + exact)
+
+    def test_rates_checked_in_order(self):
+        with pytest.raises(ValueError, match="got -1.0"):
+            poisson_weight_rows([1.0, -1.0, math.nan])
 
 
 class TestLogFactorialTable:

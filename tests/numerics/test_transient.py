@@ -183,6 +183,81 @@ class TestAbsorptionCdf:
         repeated = absorption_cdf(Q, pi0, [1, 3, 1, 3, 3], times)
         assert once.tobytes() == repeated.tobytes()
 
+    @staticmethod
+    def _lil_route(Q, target):
+        # The zeroing the direct one replaced: CSR -> LIL -> CSR.
+        Q = sp.csr_matrix(Q, dtype=np.float64, copy=True).tolil()
+        for s in dict.fromkeys(target):
+            Q.rows[s] = []
+            Q.data[s] = []
+        return Q.tocsr()
+
+    def _absorbing_generator(self, Q, target, monkeypatch):
+        from repro.numerics import transient
+
+        seen = []
+        real = transient.transient_distribution
+        monkeypatch.setattr(
+            transient, "transient_distribution",
+            lambda Qa, *args: seen.append(Qa) or real(Qa, *args),
+        )
+        absorption_cdf(Q, np.full(Q.shape[0], 1.0 / Q.shape[0]), target, [0.0, 1.0])
+        return seen[0]
+
+    def _assert_same_arrays(self, got, ref):
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_target_rows_zeroed_as_the_lil_route(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        Q = random_generator(rng, n)
+        target = [int(s) for s in rng.integers(0, n, size=int(rng.integers(1, 6)))]
+        target += target[:1]  # a repeated target
+        got = self._absorbing_generator(Q, target, monkeypatch)
+        self._assert_same_arrays(got, self._lil_route(Q, target))
+
+    def test_non_canonical_input_left_alone(self, monkeypatch):
+        # Unsorted column indices and a duplicate entry: the zeroing
+        # canonicalizes its own copy, like the LIL route, not the caller's.
+        data = np.array([2.0, -3.0, 1.0, -1.0, 1.0, 0.5, 0.5, -1.0])
+        indices = np.array([1, 0, 2, 1, 0, 2, 2, 2])
+        indptr = np.array([0, 3, 5, 8])
+        Q = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+        got = self._absorbing_generator(Q, [1], monkeypatch)
+        assert np.array_equal(Q.indices, indices) and np.array_equal(Q.data, data)
+        self._assert_same_arrays(got, self._lil_route(Q, [1]))
+
+    @pytest.mark.parametrize("mapping", ["A", "B"])
+    def test_table1_machines_zeroed_as_the_lil_route(self, mapping, monkeypatch):
+        from repro.allocation import MAPPING_A, MAPPING_B, synthetic_workload
+        from repro.allocation.cdf import makespan_cdf
+        from repro.engine import cache_override
+        from repro.ir.backends import markov
+        from repro.numerics import transient
+
+        inputs, absorbing = [], []
+        real_cdf, real_dist = markov.absorption_cdf, transient.transient_distribution
+
+        def cdf_spy(Q, pi0, target, *args):
+            inputs.append((Q, target))
+            return real_cdf(Q, pi0, target, *args)
+
+        def dist_spy(Qa, *args):
+            absorbing.append(Qa)
+            return real_dist(Qa, *args)
+
+        monkeypatch.setattr(markov, "absorption_cdf", cdf_spy)
+        monkeypatch.setattr(transient, "transient_distribution", dist_spy)
+        mapping = {"A": MAPPING_A, "B": MAPPING_B}[mapping]
+        with cache_override(False):
+            makespan_cdf(mapping, synthetic_workload(), np.linspace(0.0, 400.0, 20))
+        assert len(inputs) == len(absorbing) == 5
+        for (Q, target), got in zip(inputs, absorbing):
+            self._assert_same_arrays(got, self._lil_route(Q, target))
+
 
 class TestHittingTime:
     def test_single_exponential_mean(self):

@@ -351,6 +351,24 @@ class TestShadowVerification:
         assert out["shadow_backend"] == "explicit"
         assert out["shadow_max_abs"] <= 1e-10
 
+    def test_compare_reuses_both_derivations(self):
+        # Regression: the comparison derived both spaces again, so one
+        # shadowed solve ran two of each derivation.  Each side's own
+        # generator is still assembled once.
+        from repro.engine import cache_override, get_registry
+        from repro.ir import solve
+
+        registry = get_registry()
+        names = ("derive", "derive.population", "derive.csr_assembly")
+
+        def calls():
+            return [(registry.timer_stat(n) or {"calls": 0})["calls"] for n in names]
+
+        before = calls()
+        with cache_override(False):
+            solve(pc_lan(4), "derive", backend="population", shadow="explicit")
+        assert [b - a for a, b in zip(before, calls())] == [1, 1, 2]
+
     def test_partner_skips_huge_explicit_spaces(self):
         from repro.pepa.derivation import _derive_shadow_partner
         from repro.pepa.derivation import derive_population as lumped_ir

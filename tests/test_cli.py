@@ -440,6 +440,22 @@ class TestProfileCommand:
         assert 0.0 <= report["memo_hit_rate"] <= 1.0
         assert report["csr_assembly_seconds"] >= 0.0
 
+    def test_each_repetition_derives_once(self, model_file, capsys):
+        # Regression: the CSR-assembly timing derived every repetition's
+        # space a second time.
+        from repro.engine import get_registry
+
+        registry = get_registry()
+
+        def calls(name):
+            return (registry.timer_stat(name) or {"calls": 0})["calls"]
+
+        derives, assemblies = calls("derive"), calls("derive.csr_assembly")
+        assert main(["profile", model_file, "--repeat", "5", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["csr_assembly_seconds"] > 0.0
+        assert calls("derive") - derives == 5
+        assert calls("derive.csr_assembly") - assemblies == 5
+
     def test_text_report_without_symmetry(self, model_file, capsys):
         assert main(["profile", model_file, "--repeat", "1"]) == 0
         out = capsys.readouterr().out
