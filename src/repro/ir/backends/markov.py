@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.errors import BackendError
+from repro.ir import guards
 from repro.ir.guards import DENSE_STATE_LIMIT
 from repro.ir.markov import MarkovIR
 from repro.ir.registry import register_backend, register_fallback_chain
@@ -24,6 +25,7 @@ from repro.numerics.steady import steady_state
 from repro.numerics.transient import (
     absorption_cdf,
     expected_hitting_time,
+    take_truncation,
     transient_distribution,
 )
 
@@ -85,10 +87,19 @@ def _resolve_pi0(ir: MarkovIR, pi0) -> np.ndarray:
     return np.asarray(pi0, dtype=np.float64)
 
 
+def _noting_truncation(sweep):
+    """Run ``sweep`` and note the truncation it ran with, so the trust
+    layer reports the sweep's own instead of searching for it again."""
+    take_truncation()  # drop a record no caller took
+    out = sweep()
+    guards.note(**take_truncation())
+    return out
+
+
 def _transient_uniformization(ir: MarkovIR, *, times, pi0=None, epsilon=1e-12):
-    return transient_distribution(
+    return _noting_truncation(lambda: transient_distribution(
         ir.generator, _resolve_pi0(ir, pi0), times, epsilon
-    )
+    ))
 
 
 def _check_dense_limit(ir: MarkovIR) -> None:
@@ -145,7 +156,9 @@ def _passage_uniformization(ir: MarkovIR, *, targets, times, pi0=None,
     targets = _passage_targets(ir, targets)
     p0 = _resolve_pi0(ir, pi0)
     times = np.asarray(times, dtype=np.float64)
-    cdf = absorption_cdf(ir.generator, p0, targets, times, epsilon)
+    cdf = _noting_truncation(
+        lambda: absorption_cdf(ir.generator, p0, targets, times, epsilon)
+    )
     return _finish_passage(ir, p0, targets, times, cdf)
 
 

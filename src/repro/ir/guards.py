@@ -58,6 +58,7 @@ from repro.errors import NumericalTrustError
 from repro.ir.markov import MarkovIR
 from repro.ir.reaction import ReactionIR
 from repro.numerics import diagnostics as diag
+from repro.numerics.dtmc import uniformization_rate
 
 __all__ = [
     "SIMPLEX_ATOL",
@@ -367,6 +368,28 @@ def _check_steady(capability, backend, ir, result, params) -> dict:
     }
 
 
+_TRUNCATION_KEYS = ("uniformization_rate", "poisson_mean", "truncation_k", "truncation_mass")
+
+
+def _truncation(ir, params, absorbing=()) -> dict:
+    """The uniformization sweep's truncation: as the backend noted it,
+    or else (a cache hit, a dense backend) found again by the sweep's
+    rule — the default rate of the generator with the ``absorbing`` rows
+    zeroed, and the truncation point for the largest time — so that a
+    hit and a miss report the same ``K``."""
+    noted = getattr(_notes, "data", None) or {}
+    if "truncation_k" in noted:
+        return {key: noted.pop(key) for key in _TRUNCATION_KEYS}
+    times = np.asarray(params.get("times", ()), dtype=np.float64)
+    t_max = float(times.max()) if times.size else 0.0
+    exit_rates = -ir.generator.diagonal()
+    exit_rates[[int(s) for s in absorbing]] = 0.0
+    return diag.truncation_diagnostics(
+        ir.generator, t_max, float(params.get("epsilon", 1e-12)),
+        rate=uniformization_rate(exit_rates),
+    )
+
+
 def _check_transient(capability, backend, ir, result, params) -> dict:
     _check_generator(capability, backend, ir)
     dist = np.asarray(result, dtype=np.float64)
@@ -386,11 +409,7 @@ def _check_transient(capability, backend, ir, result, params) -> dict:
                 f"transient row mass off by {mass_error:.3e}",
                 capability=capability, backend=backend, ir=ir, detail=mass_error,
             )
-    times = np.asarray(params.get("times", ()), dtype=np.float64)
-    t_max = float(times.max()) if times.size else 0.0
-    out = diag.truncation_diagnostics(
-        ir.generator, t_max, float(params.get("epsilon", 1e-12))
-    )
+    out = _truncation(ir, params)
     out.update(mass_error=mass_error, min_probability=worst_neg,
                n_states=ir.n_states)
     return out
@@ -415,11 +434,7 @@ def _check_passage(capability, backend, ir, result, params) -> dict:
     if result.mean < -1e-12:
         _fail("mean_sign", f"negative mean passage time {result.mean:.3e}",
               capability=capability, backend=backend, ir=ir, detail=result.mean)
-    times = np.asarray(params.get("times", ()), dtype=np.float64)
-    t_max = float(times.max()) if times.size else 0.0
-    out = diag.truncation_diagnostics(
-        ir.generator, t_max, float(params.get("epsilon", 1e-12))
-    )
+    out = _truncation(ir, params, absorbing=params.get("targets", ()))
     out.update(
         monotonicity_defect=drop,
         cdf_final=float(cdf[-1]) if cdf.size else 0.0,

@@ -117,6 +117,12 @@ class MarkovIR:
     #: content hash — the lumped generator itself already identifies
     #: the chain.
     orbits: OrbitInfo | None = field(default=None, compare=False)
+    #: The frontend's state space the IR was lowered from, when the
+    #: frontend keeps it for checks on the IR (PEPA's derive shadow
+    #: comparison); not part of the chain's identity.
+    _space: object | None = field(
+        default=None, repr=False, compare=False, hash=False
+    )
     _ssa_tables: list | None = field(
         default=None, repr=False, compare=False, hash=False
     )

@@ -109,18 +109,22 @@ def monotonicity_defect(cdf: np.ndarray) -> float:
 
 
 def truncation_diagnostics(
-    Q: sp.spmatrix, t_max: float, epsilon: float = 1e-12
+    Q: sp.spmatrix, t_max: float, epsilon: float = 1e-12, *, rate: float | None = None
 ) -> dict:
     """Uniformization truncation summary for a horizon ``t_max``.
 
-    Reports the uniformization rate ``lambda``, the Poisson mean
-    ``lambda * t_max``, the truncation point ``K`` actually used by the
-    shared weight computation, and the mass bound ``epsilon`` the
+    Reports the uniformization rate ``lambda`` (``rate``, or by default
+    the largest exit rate of ``Q``), the Poisson mean
+    ``lambda * t_max``, the truncation point ``K`` a uniformization
+    sweep at that rate runs to, and the mass bound ``epsilon`` the
     truncation guarantees (weights are renormalized, so the *retained*
     error is at most ``epsilon``).
     """
-    Q = sp.csr_matrix(Q, dtype=np.float64)
-    lam = float(np.abs(Q.diagonal()).max()) if Q.shape[0] else 0.0
+    if rate is not None:
+        lam = float(rate)
+    else:
+        Q = sp.csr_matrix(Q, dtype=np.float64)
+        lam = float(np.abs(Q.diagonal()).max()) if Q.shape[0] else 0.0
     m = lam * max(float(t_max), 0.0)
     k = poisson_truncation_point(m, epsilon) if m > 0 else 0
     return {

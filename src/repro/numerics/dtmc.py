@@ -7,7 +7,14 @@ import scipy.sparse as sp
 
 from repro.errors import ConvergenceError
 
-__all__ = ["uniformized_dtmc", "dtmc_stationary"]
+__all__ = ["uniformized_dtmc", "uniformization_rate", "dtmc_stationary"]
+
+
+def uniformization_rate(exit_rates: np.ndarray) -> float:
+    """The rate :func:`uniformized_dtmc` picks by default: slightly above
+    the largest of ``exit_rates`` (1 when no state has an exit)."""
+    max_exit = float(exit_rates.max()) if exit_rates.size else 0.0
+    return max_exit * 1.02 if max_exit > 0 else 1.0
 
 
 def uniformized_dtmc(Q: sp.spmatrix, lam: float | None = None) -> tuple[sp.csr_matrix, float]:
@@ -19,9 +26,10 @@ def uniformized_dtmc(Q: sp.spmatrix, lam: float | None = None) -> tuple[sp.csr_m
     aperiodic).
     """
     Q = sp.csr_matrix(Q, dtype=np.float64)
-    max_exit = float((-Q.diagonal()).max()) if Q.shape[0] else 0.0
+    exit_rates = -Q.diagonal()
+    max_exit = float(exit_rates.max()) if Q.shape[0] else 0.0
     if lam is None:
-        lam = max_exit * 1.02 if max_exit > 0 else 1.0
+        lam = uniformization_rate(exit_rates)
     elif lam < max_exit:
         raise ValueError(
             f"uniformization rate {lam} is below the maximum exit rate {max_exit}"
