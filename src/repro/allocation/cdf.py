@@ -8,7 +8,9 @@ Machines are statistically independent, so :func:`makespan_cdf` fans
 the per-machine solves out through the execution engine — run it under
 ``engine.parallel(workers=...)`` to use a process pool — and repeated
 calls with identical arguments are served from the engine's
-content-addressed cache.
+content-addressed cache.  With the cache's disk layer on
+(``$REPRO_CACHE_DIR``), each finished machine is also a checkpoint
+entry, so an interrupted makespan resumes from the machines it solved.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.allocation.machines import DONE_STATE, MACHINE_LEAF, build_machine_mo
 from repro.allocation.mapping import Mapping
 from repro.allocation.workload import Workload
 from repro.engine import run_manifest
-from repro.engine.cache import Uncacheable, cached, canonical_key
+from repro.engine.cache import cached
 from repro.engine.executor import run_tasks
 from repro.engine.metrics import get_registry
 from repro.numerics.quantile import cdf_quantile
@@ -216,17 +218,12 @@ def _compute_makespan(
     from repro.allocation.mapping import MACHINES
 
     machines = [m for m in MACHINES if mapping.applications_on(m)]
-    try:
-        # Same content-hash scheme as the result cache, so an interrupted
-        # sweep resumes its per-machine solves from checkpointed partials
-        # when $REPRO_CHECKPOINT_DIR is set.
-        checkpoint = canonical_key("makespan_chunks", mapping, workload, times, method)
-    except Uncacheable:
-        checkpoint = None
+    # With a disk cache layer, an interrupted sweep resumes its
+    # per-machine solves from their checkpoint entries.
     per_machine = run_tasks(
         _machine_cdf_task,
         [(mapping, machine, workload, times, method) for machine in machines],
-        checkpoint=checkpoint,
+        checkpoint=("makespan", mapping, workload, times, method),
     )
     cdf = np.ones_like(times)
     for machine_cdf in per_machine:  # fixed MACHINES order: deterministic product

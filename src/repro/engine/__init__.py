@@ -17,13 +17,13 @@ Four orthogonal facilities every analysis layer builds on:
 ``resilience`` / ``faults``
     Fault tolerance for unattended runs: the supervised pool loop
     (per-task timeout, bounded retry, broken-pool recovery, sequential
-    degradation), checkpointed batches under ``$REPRO_CHECKPOINT_DIR``,
-    and the deterministic fault-injection harness the chaos suite uses
-    to prove bit-identity under failure.
+    degradation) and the deterministic fault-injection harness the
+    chaos suite uses to prove bit-identity under failure.
 ``cache``
     Content-addressed result cache (in-memory LRU plus optional disk
     layer, SHA-256 integrity trailer on every entry) keyed on canonical
-    hashes of (model, solver, parameters).
+    hashes of (model, solver, parameters).  The disk layer also holds
+    the per-task checkpoints an interrupted batch resumes from.
 ``metrics``
     Process-wide registry of solver wall times, state-space sizes,
     iteration counts and cache hit/miss counters, surfaced by the
@@ -68,10 +68,7 @@ from repro.engine.metrics import (
     timer,
 )
 from repro.engine.resilience import (
-    CheckpointStore,
     ResiliencePolicy,
-    configure_checkpoints,
-    get_checkpoint_store,
     resolve_policy,
     supervised_map,
 )
@@ -100,9 +97,6 @@ __all__ = [
     "ResiliencePolicy",
     "resolve_policy",
     "supervised_map",
-    "CheckpointStore",
-    "configure_checkpoints",
-    "get_checkpoint_store",
     "faults",
     # cache
     "ResultCache",

@@ -23,10 +23,18 @@ Values are stored as pickle bytes (in-memory LRU, plus an optional
 on-disk layer under ``$REPRO_CACHE_DIR``) and unpickled on every hit so
 callers always receive a private copy they may mutate freely.
 
+The disk layer also holds batch checkpoints: each completed task of a
+checkpointed :func:`~repro.engine.executor.run_tasks` batch is a disk
+entry ``chunk-<sha256>-<index>``, where the hash covers the caller's
+key parts and the task count.  An interrupted batch resumes from these
+entries, a finished one deletes them, and :meth:`ResultCache.purge_chunks`
+ages out the batches nobody resumed.  Chunks never enter the in-memory
+LRU.
+
 Environment knobs::
 
-    REPRO_CACHE=off       disable caching entirely
-    REPRO_CACHE_DIR=path  enable the on-disk layer
+    REPRO_CACHE=off       disable caching (and checkpoints) entirely
+    REPRO_CACHE_DIR=path  enable the on-disk layer (and checkpoints)
     REPRO_CACHE_SIZE=n    in-memory LRU capacity (default 256 entries)
 """
 
@@ -40,9 +48,10 @@ import os
 import pickle
 import struct
 import threading
+import time
 import warnings
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -207,7 +216,7 @@ def _current_env_blob() -> bytes:
 def seal_payload(payload: bytes, env: bytes | None = None) -> bytes:
     """Append an environment-stamped SHA-256 integrity trailer.
 
-    Disk-cache entries and ensemble checkpoints are written through
+    Disk-cache entries (batch checkpoints included) are written through
     this, so a torn write (power loss, full disk, killed process) is
     detected on read instead of surfacing as a pickle error — or worse,
     silently deserializing garbage.  The trailer also seals the writing
@@ -367,22 +376,29 @@ class ResultCache:
         with self._lock:
             self._store_mem(key, payload)
         if self.disk_dir is not None:
+            self._write_disk(key, payload)
+
+    def _write_disk(self, key: str, payload: bytes) -> bool:
+        """Seal and atomically write one disk entry.  Best-effort: an
+        unusable disk layer (unwritable, full, a path under a regular
+        file) returns False instead of raising."""
+        path = self._disk_path(key)
+        blob = seal_payload(payload)
+        if faults.should_fire("cache_corrupt") is not None:
+            blob = blob[: max(1, len(blob) // 2)]  # simulate a torn write
+        # Unique tmp name per process + call: two processes writing
+        # the same key must never replace() each other's half-written
+        # tmp file into place.
+        tmp = path.with_name(f"{path.name}.{os.getpid()}-{next(self._tmp_counter)}.tmp")
+        try:
             self.disk_dir.mkdir(parents=True, exist_ok=True)
-            path = self._disk_path(key)
-            blob = seal_payload(payload)
-            if faults.should_fire("cache_corrupt") is not None:
-                blob = blob[: max(1, len(blob) // 2)]  # simulate a torn write
-            # Unique tmp name per process + call: two processes writing
-            # the same key must never replace() each other's half-written
-            # tmp file into place.
-            tmp = path.with_name(
-                f"{path.name}.{os.getpid()}-{next(self._tmp_counter)}.tmp"
-            )
-            try:
-                tmp.write_bytes(blob)
-                tmp.replace(path)  # atomic on POSIX
-            except OSError:
+            tmp.write_bytes(blob)
+            tmp.replace(path)  # atomic on POSIX
+        except OSError:
+            with suppress(OSError):
                 tmp.unlink(missing_ok=True)
+            return False
+        return True
 
     def _store_mem(self, key: str, payload: bytes) -> None:
         self._mem[key] = payload
@@ -392,6 +408,92 @@ class ResultCache:
 
     def _disk_path(self, key: str) -> Path:
         return self.disk_dir / f"{key}.pkl"
+
+    # -- batch checkpoints --------------------------------------------------
+
+    def chunk_prefix(self, parts: tuple, n_tasks: int) -> str | None:
+        """Key prefix of a checkpointed batch of ``n_tasks`` tasks.
+
+        ``None`` (checkpointing off) unless the cache is enabled and has
+        a disk layer — nothing is hashed then — or when ``parts`` has no
+        canonical hash.  The task count is part of the key, so the same
+        request cut into a different number of tasks never meets these
+        chunks.
+        """
+        if not self.enabled or self.disk_dir is None:
+            return None
+        try:
+            return canonical_key("chunk", *parts, n_tasks)
+        except Uncacheable:
+            return None
+
+    def load_chunks(self, prefix: str, n_tasks: int) -> dict[int, object]:
+        """Every intact stored task result of the batch (index -> value).
+
+        Reads go through :meth:`_read_disk`, so a torn chunk, or one
+        sealed under another environment, is quarantined and recomputed.
+        """
+        done: dict[int, object] = {}
+        for index in range(n_tasks):
+            key = f"{prefix}-{index:06d}"
+            payload = self._read_disk(key)
+            if payload is None:
+                continue
+            try:
+                done[index] = pickle.loads(payload)
+            except Exception:
+                get_registry().increment("cache.corrupt_entries")
+                self._quarantine(self._disk_path(key), "corrupt")
+        return done
+
+    def save_chunk(self, prefix: str, index: int, value) -> None:
+        """Store one completed task's result on disk only — the running
+        batch holds its own values.  Best-effort, like every disk write."""
+        try:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            return
+        if self._write_disk(f"{prefix}-{index:06d}", payload):
+            get_registry().increment("engine.checkpoint_saved")
+
+    def discard_chunks(self, prefix: str) -> None:
+        """Delete a finished batch's chunk entries."""
+        with suppress(OSError):
+            for path in self.disk_dir.glob(f"{prefix}-*.pkl"):
+                path.unlink(missing_ok=True)
+
+    def purge_chunks(self, ttl_seconds: float) -> int:
+        """Delete every chunk batch whose newest file is ``ttl_seconds``
+        old or older.  Result entries are never evicted.
+
+        Batches of jobs that crashed and were never retried would
+        otherwise pile up under a long-lived service.  A batch's age is
+        its *newest* file's, so a live batch that keeps sealing chunks
+        is never purged mid-run.  Returns the number of batches dropped
+        (counted as ``engine.checkpoint_purged``); a purged batch simply
+        runs clean on its next attempt.
+        """
+        if ttl_seconds < 0:
+            raise ValueError(f"ttl_seconds must be >= 0, got {ttl_seconds}")
+        if self.disk_dir is None:
+            return 0
+        batches: dict[str, list[tuple[Path, float]]] = {}
+        with suppress(OSError):
+            for path in self.disk_dir.glob("chunk-*"):
+                with suppress(OSError):  # racing a concurrent discard
+                    batch = path.name.split("-", 2)[1]
+                    batches.setdefault(batch, []).append((path, path.stat().st_mtime))
+        cutoff = time.time() - ttl_seconds
+        purged = 0
+        for files in batches.values():
+            if max(mtime for _, mtime in files) <= cutoff:
+                for path, _ in files:
+                    with suppress(OSError):
+                        path.unlink(missing_ok=True)
+                purged += 1
+        if purged:
+            get_registry().increment("engine.checkpoint_purged", by=purged)
+        return purged
 
     # -- maintenance --------------------------------------------------------
 

@@ -42,12 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine import faults
+from repro.engine.cache import get_cache
 from repro.engine.cancellation import current_scope
 from repro.engine.metrics import get_registry
-from repro.engine.resilience import (
-    get_checkpoint_store,
-    resolve_policy,
-)
+from repro.engine.resilience import resolve_policy
 from repro.engine.transport import get_transport, resolve_transport
 
 __all__ = [
@@ -153,7 +151,7 @@ def run_tasks(
     fn: Callable,
     tasks: Iterable,
     workers: int | None = None,
-    checkpoint: str | None = None,
+    checkpoint: tuple | None = None,
     transport: str | None = None,
 ) -> list:
     """Map ``fn`` over ``tasks``, preserving order.
@@ -167,13 +165,15 @@ def run_tasks(
     provide retries, per-task timeouts, and crashed-worker recovery
     (see :mod:`repro.engine.resilience`).
 
-    ``checkpoint`` names a content-addressed batch key: when a
-    checkpoint store is active (``$REPRO_CHECKPOINT_DIR`` or
-    ``configure_checkpoints``), each task's result is persisted as it
-    completes, already-completed tasks of an interrupted earlier run are
-    not recomputed (after the stored chunk layout is validated against
-    this run's), and the batch's checkpoints are discarded once every
-    task has finished.
+    ``checkpoint`` is a tuple of key parts naming the batch's content
+    (the request, not its scheduling).  When the result cache is enabled
+    and has a disk layer (``$REPRO_CACHE_DIR`` or
+    ``configure_cache(disk_dir=...)``), each task's result is stored as
+    a disk entry as it completes, the tasks an interrupted earlier run
+    of the same batch completed are not recomputed, and the batch's
+    entries are deleted once every task has finished.  The key covers
+    the parts and the task count (:meth:`ResultCache.chunk_prefix`), and
+    is only hashed when checkpointing is on.
     """
     tasks = list(tasks)
     reg = get_registry()
@@ -190,10 +190,11 @@ def run_tasks(
         reg.increment("engine.pickle_fallback")
         chosen = get_transport("inline")
 
-    store = get_checkpoint_store() if checkpoint else None
+    cache = get_cache()
+    prefix = cache.chunk_prefix(checkpoint, len(tasks)) if checkpoint else None
     results: dict[int, object] = {}
-    if store is not None:
-        results = store.load(checkpoint, len(tasks))
+    if prefix is not None:
+        results = cache.load_chunks(prefix, len(tasks))
         if results:
             reg.increment("engine.checkpoint_resumes")
             reg.increment("engine.checkpoint_loaded", by=len(results))
@@ -201,8 +202,8 @@ def run_tasks(
 
     def on_result(index: int, value) -> None:
         results[index] = value
-        if store is not None:
-            store.save(checkpoint, index, value, n_tasks=len(tasks))
+        if prefix is not None:
+            cache.save_chunk(prefix, index, value)
         # Deterministic kill -9 for the service's crash-recovery suite:
         # die the instant this task unit's checkpoint is sealed, so a
         # restart provably resumes from exactly these chunks.
@@ -211,7 +212,7 @@ def run_tasks(
 
     if chosen.name == "inline":
         reg.increment("engine.sequential_batches")
-        if store is None and not scope.active:
+        if prefix is None and not scope.active:
             return [fn(task) for task in tasks]
         for index in missing:
             scope.raise_if_cancelled()
@@ -227,8 +228,8 @@ def run_tasks(
             policy=policy,
             on_result=lambda j, value: on_result(missing[j], value),
         )
-    if store is not None:
-        store.discard(checkpoint)
+    if prefix is not None:
+        cache.discard_chunks(prefix)
     return [results[i] for i in range(len(tasks))]
 
 

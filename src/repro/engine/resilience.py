@@ -1,4 +1,4 @@
-"""Fault-tolerant execution: supervised pools, retries, checkpoints.
+"""Fault-tolerant execution: supervised pools and retries.
 
 The executor's original parallel path was one ``pool.map`` — a single
 crashed worker, one hung task, or one unpicklable payload killed the
@@ -11,11 +11,10 @@ whole batch.  This module supplies the supervised replacement used by
   with exponential backoff, ``BrokenProcessPool`` recovery (terminate,
   rebuild, resubmit only unfinished work), and last-resort degradation
   to in-parent sequential execution when the pool keeps dying.
-* **Checkpoint store** (:class:`CheckpointStore`): per-task partial
-  results persisted under ``$REPRO_CHECKPOINT_DIR`` keyed by the same
-  content hash as the result cache, so an interrupted ensemble resumes
-  from its completed chunks.  Entries carry the cache's SHA-256
-  integrity trailer; a torn chunk is quarantined and recomputed.
+
+Its ``on_result`` hook is where :func:`~repro.engine.executor.run_tasks`
+stores each completed task as a checkpoint entry of the result cache's
+disk layer, so an interrupted batch resumes from its completed chunks.
 
 Determinism is preserved by construction: a retried task re-runs the
 *same* ``(fn, task)`` pair — seeds were spawned per task up front — and
@@ -30,10 +29,8 @@ then the environment (``REPRO_TASK_TIMEOUT``, ``REPRO_MAX_RETRIES``,
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
-import shutil
 import time
 import warnings
 from collections import deque
@@ -41,7 +38,6 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.engine import faults
 from repro.engine.cancellation import current_scope
@@ -53,9 +49,6 @@ __all__ = [
     "resolve_policy",
     "env_number",
     "supervised_map",
-    "CheckpointStore",
-    "configure_checkpoints",
-    "get_checkpoint_store",
 ]
 
 
@@ -322,182 +315,3 @@ def supervised_map(
         if index not in results:
             record(index, fn(tasks[index]))
     return [results[i] for i in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint store
-# ---------------------------------------------------------------------------
-
-_CKPT_UNSET = object()
-_CHECKPOINT_DIR: object = _CKPT_UNSET
-
-
-_LAYOUT_NAME = "layout.json"
-
-
-class CheckpointStore:
-    """Per-task partial results on disk, keyed by content hash.
-
-    One directory per batch key; one sealed pickle per completed task
-    (``chunk-000042.pkl``).  The payload carries the cache layer's
-    SHA-256 integrity trailer, so a partial write from an interrupted
-    run is quarantined and recomputed instead of poisoning the resume.
-
-    Alongside the chunks sits a ``layout.json`` recording the batch's
-    chunk structure (task count).  :meth:`load` validates it against the
-    resuming run: a batch key only hashes the *logical* request
-    (model, grid, n_runs, seed), so a chunking-parameter change between
-    the interrupted run and the resume would otherwise merge partials
-    computed under different chunk boundaries into a silently corrupt
-    reduction.  On mismatch the whole batch is discarded with a warning
-    (``engine.checkpoint_layout_mismatch``) and recomputed from scratch.
-    """
-
-    def __init__(self, root: str | os.PathLike):
-        self.root = Path(root)
-
-    def _dir(self, key: str) -> Path:
-        return self.root / key
-
-    def _path(self, key: str, index: int) -> Path:
-        return self._dir(key) / f"chunk-{index:06d}.pkl"
-
-    def _validate_layout(self, key: str, n_tasks: int) -> bool:
-        """True when the stored chunk layout matches this run's."""
-        path = self._dir(key) / _LAYOUT_NAME
-        if not path.exists():
-            # Legacy batch (pre-layout): nothing to validate against.
-            return True
-        try:
-            stored = json.loads(path.read_text()).get("n_tasks")
-        except (OSError, ValueError):
-            stored = None
-        if stored == n_tasks:
-            return True
-        warnings.warn(
-            f"checkpoint batch {key!r} was written with a different chunk "
-            f"layout ({stored!r} tasks, this run has {n_tasks}); discarding "
-            "it and recomputing from scratch",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        get_registry().increment("engine.checkpoint_layout_mismatch")
-        self.discard(key)
-        return False
-
-    def load(self, key: str, n_tasks: int) -> dict[int, object]:
-        """All intact completed partials for ``key`` (index -> value)."""
-        from repro.engine.cache import unseal_payload
-
-        reg = get_registry()
-        done: dict[int, object] = {}
-        directory = self._dir(key)
-        if not directory.is_dir():
-            return done
-        if not self._validate_layout(key, n_tasks):
-            return done
-        for path in sorted(directory.glob("chunk-*.pkl")):
-            try:
-                index = int(path.stem.split("-", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            if not 0 <= index < n_tasks:
-                continue
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                continue
-            payload = unseal_payload(blob)
-            if payload is None:
-                reg.increment("engine.checkpoint_corrupt")
-                path.unlink(missing_ok=True)
-                continue
-            try:
-                done[index] = pickle.loads(payload)
-            except Exception:
-                reg.increment("engine.checkpoint_corrupt")
-                path.unlink(missing_ok=True)
-        return done
-
-    def save(self, key: str, index: int, value, n_tasks: int | None = None) -> None:
-        """Persist one completed partial (atomic, integrity-sealed).
-
-        ``n_tasks`` records the batch's chunk layout on first save so a
-        later resume can validate it; ``None`` (legacy callers) skips
-        the layout record.
-        """
-        from repro.engine.cache import seal_payload
-
-        try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            return
-        path = self._path(key, index)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if n_tasks is not None:
-            layout = path.parent / _LAYOUT_NAME
-            if not layout.exists():
-                ltmp = layout.with_name(f"{layout.name}.{os.getpid()}.tmp")
-                try:
-                    ltmp.write_text(json.dumps({"n_tasks": n_tasks}))
-                    ltmp.replace(layout)
-                except OSError:
-                    ltmp.unlink(missing_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(seal_payload(payload))
-        tmp.replace(path)
-        get_registry().increment("engine.checkpoint_saved")
-
-    def discard(self, key: str) -> None:
-        """Drop a batch's checkpoints (it completed, or was abandoned)."""
-        shutil.rmtree(self._dir(key), ignore_errors=True)
-
-    def purge_expired(self, ttl_seconds: float) -> int:
-        """Drop every batch untouched for ``ttl_seconds`` or longer.
-
-        Abandoned partials — from jobs that crashed and were never
-        retried — would otherwise accumulate forever under a long-lived
-        service.  A batch's age is its *newest* entry's mtime, so a live
-        job that keeps sealing chunks is never purged mid-run.  Returns
-        the number of batches dropped (counted as
-        ``engine.checkpoint_purged``); a purged job simply falls back to
-        a clean run on its next attempt.
-        """
-        if ttl_seconds < 0:
-            raise ValueError(f"ttl_seconds must be >= 0, got {ttl_seconds}")
-        if not self.root.is_dir():
-            return 0
-        cutoff = time.time() - ttl_seconds
-        purged = 0
-        for directory in self.root.iterdir():
-            if not directory.is_dir():
-                continue
-            try:
-                newest = max(
-                    (entry.stat().st_mtime for entry in directory.iterdir()),
-                    default=directory.stat().st_mtime,
-                )
-            except OSError:
-                continue  # racing a concurrent discard; it wins
-            if newest <= cutoff:
-                self.discard(directory.name)
-                purged += 1
-        if purged:
-            get_registry().increment("engine.checkpoint_purged", by=purged)
-        return purged
-
-
-def configure_checkpoints(directory: str | os.PathLike | None) -> None:
-    """Set (or, with ``None``, disable) the process-wide checkpoint dir,
-    overriding ``$REPRO_CHECKPOINT_DIR``."""
-    global _CHECKPOINT_DIR
-    _CHECKPOINT_DIR = None if directory is None else Path(directory)
-
-
-def get_checkpoint_store() -> CheckpointStore | None:
-    """The active checkpoint store, or ``None`` when checkpointing is off
-    (no ``configure_checkpoints`` call and no ``$REPRO_CHECKPOINT_DIR``)."""
-    if _CHECKPOINT_DIR is not _CKPT_UNSET:
-        return None if _CHECKPOINT_DIR is None else CheckpointStore(_CHECKPOINT_DIR)
-    env = os.environ.get("REPRO_CHECKPOINT_DIR")
-    return CheckpointStore(env) if env else None

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.cache import Uncacheable, canonical_key
 from repro.engine.executor import run_tasks, spawn_seeds, welford_merge
 from repro.engine.metrics import get_registry
 from repro.errors import (
@@ -411,15 +410,17 @@ def _ensemble_task(task) -> list[tuple[int, np.ndarray, np.ndarray, int]]:
     return partials
 
 
-def _checkpoint_key(runner, payload, grid, n_runs: int, seed: int,
-                    max_events=None) -> str | None:
-    """Content-addressed batch key for checkpointed ensembles.
+def _checkpoint_parts(runner, payload, grid, n_runs: int, seed: int,
+                      max_events, stride: int) -> tuple | None:
+    """Key parts of a checkpointed ensemble's batch (see ``run_tasks``).
 
-    ``None`` (checkpointing skipped) when the payload has no canonical
-    hash, or when its identity token is explicitly ``None`` — a
-    tokenless IR marks itself as not content-addressable, and hashing it
-    anyway would collide distinct models onto one key.  The runner's
-    name is part of the key because it fixes the task layout.
+    ``None`` (checkpointing skipped) when the payload's identity token
+    is explicitly ``None`` — a tokenless IR marks itself as not
+    content-addressable, and hashing it anyway would collide distinct
+    models onto one key.  The runner's name, :data:`CHUNK_RUNS` and the
+    task stride fix the task layout and the chunk boundaries inside each
+    task, so they are part of the key: partials cut at other boundaries
+    must never merge into this reduction.
     """
     ident = payload[0] if isinstance(payload, tuple) else payload
     if getattr(ident, "token", True) is None:
@@ -427,12 +428,8 @@ def _checkpoint_key(runner, payload, grid, n_runs: int, seed: int,
     name = getattr(
         runner, "checkpoint_name", getattr(runner, "__qualname__", repr(runner))
     )
-    try:
-        return canonical_key(
-            "ensemble", name, payload, grid, int(n_runs), int(seed), max_events
-        )
-    except Uncacheable:
-        return None
+    return ("ensemble", name, payload, grid, int(n_runs), int(seed), max_events,
+            CHUNK_RUNS, stride)
 
 
 def ensemble_moments(
@@ -462,11 +459,11 @@ def ensemble_moments(
     and the result is bit-identical to the sequential one.  ``var`` uses
     the unbiased ``ddof=1`` normalization.
 
-    When a checkpoint store is active (``$REPRO_CHECKPOINT_DIR``), task
-    partials are persisted as they complete under a key derived from the
-    same content hash as the result cache, so an interrupted ensemble
-    resumes from its completed tasks — and, the reduction order being
-    fixed, still matches the uninterrupted result bit for bit.
+    When the result cache has a disk layer (``$REPRO_CACHE_DIR``), task
+    partials are stored there as checkpoint entries as they complete, so
+    an interrupted ensemble resumes from its completed tasks — and, the
+    reduction order being fixed, still matches the uninterrupted result
+    bit for bit.
     """
     if n_runs < 1:
         raise IRError("ensemble needs at least one run")
@@ -480,8 +477,8 @@ def ensemble_moments(
             for lo in range(0, n_runs, stride)
         ]
         grouped = run_tasks(
-            _ensemble_task, tasks, checkpoint=_checkpoint_key(
-                runner, payload, grid, n_runs, seed, max_events
+            _ensemble_task, tasks, checkpoint=_checkpoint_parts(
+                runner, payload, grid, n_runs, seed, max_events, stride
             )
         )
         count, mean, m2 = 0, 0.0, 0.0

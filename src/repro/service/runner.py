@@ -9,8 +9,8 @@ the engine raises :class:`~repro.errors.JobCancelledError` at the next
 task-unit boundary, which the runner maps to the ``cancelled`` (or,
 for deadline overruns, ``expired``) terminal state.
 
-Solves run with the engine's checkpoint store active (when configured),
-so a crash — or a drain that suspends in-flight work — leaves completed
+When the result cache has a disk layer, solves checkpoint into it, so
+a crash — or a drain that suspends in-flight work — leaves completed
 chunks on disk and the recovered job *resumes* instead of restarting.
 """
 

@@ -39,8 +39,9 @@ import signal
 import threading
 from dataclasses import dataclass
 
+from repro.engine.cache import get_cache
 from repro.engine.metrics import get_registry
-from repro.engine.resilience import env_number, get_checkpoint_store
+from repro.engine.resilience import env_number
 from repro.engine.wire import BadRequest, JsonHandler, start_http
 from repro.errors import JobRejectedError, ServiceError
 from repro.service.admission import AdmissionController
@@ -138,9 +139,7 @@ class JobService:
         self._drained = threading.Event()
         self._submit_lock = threading.Lock()
         if self.config.checkpoint_ttl is not None:
-            store = get_checkpoint_store()
-            if store is not None:
-                store.purge_expired(self.config.checkpoint_ttl)
+            get_cache().purge_chunks(self.config.checkpoint_ttl)
 
     def start(self) -> None:
         self.runner.start()

@@ -149,3 +149,47 @@ class TestOneMeanSolvePerMachine:
                 ).cdf
         np.testing.assert_array_equal(ms.cdf, product)
         assert ms.mean == float(np.trapezoid(1.0 - product, grid))
+
+
+class TestCheckpointKeys:
+    """The checkpoint key of a makespan batch is hashed only when a
+    disk cache layer can hold the chunks."""
+
+    @staticmethod
+    def _namespaces(monkeypatch):
+        from repro.allocation import cdf
+        from repro.engine import cache
+
+        seen = []
+        real = cache.canonical_key
+
+        def spy(namespace, *parts):
+            seen.append(namespace)
+            return real(namespace, *parts)
+
+        monkeypatch.setattr(cache, "canonical_key", spy)
+        monkeypatch.setattr(cdf, "canonical_key", spy, raising=False)
+        return seen
+
+    def test_no_disk_layer_builds_no_chunk_key(self, workload, monkeypatch):
+        from repro.engine import configure_cache, get_cache
+
+        configure_cache(disk_dir=None)
+        get_cache().clear()  # a memory hit would skip the batch entirely
+        seen = self._namespaces(monkeypatch)
+        makespan_cdf(MAPPING_B, workload, np.linspace(0.0, 2000.0, 7))
+        assert "makespan_cdf" in seen
+        assert not {"makespan_chunks", "chunk"} & set(seen)
+
+    def test_disk_layer_builds_one_chunk_key(self, workload, monkeypatch, tmp_path):
+        from repro.engine import configure_cache, get_cache
+
+        configure_cache(disk_dir=tmp_path)
+        try:
+            get_cache().clear()
+            seen = self._namespaces(monkeypatch)
+            makespan_cdf(MAPPING_B, workload, np.linspace(0.0, 2000.0, 9))
+        finally:
+            configure_cache(disk_dir=None)
+        assert seen.count("chunk") == 1
+        assert not list(tmp_path.glob("chunk-*"))

@@ -476,6 +476,34 @@ class TestCachedHelper:
             configure_cache(disk_dir=before)
 
 
+class TestUnusableDiskLayer:
+    """Disk writes are best-effort for results and checkpoints alike: a
+    disk layer rooted under a regular file must not fail the work."""
+
+    @pytest.fixture
+    def broken_root(self, tmp_path):
+        (tmp_path / "file").write_text("not a directory")
+        configure_cache(disk_dir=tmp_path / "file" / "cache")
+        try:
+            yield
+        finally:
+            configure_cache(disk_dir=None)
+
+    def test_cached_result_survives(self, broken_root):
+        assert cached("probe", (1, 2), lambda: 3) == (3, "miss")
+        assert cached("probe", (1, 2), lambda: 4) == (3, "hit")  # memory layer
+
+    def test_checkpointed_batch_survives(self, broken_root):
+        from repro.engine import run_tasks
+
+        assert run_tasks(_square, [1, 2, 3], checkpoint=("batch",)) == [1, 4, 9]
+        assert get_cache().purge_chunks(ttl_seconds=0.0) == 0
+
+
+def _square(x):
+    return x * x
+
+
 class TestConcurrentDiskWriters:
     """Two processes hammering the same content key must never leave a
     torn entry: every write goes through a unique temp name plus an

@@ -14,7 +14,7 @@ import pytest
 from repro.engine import (
     CancelScope,
     cancel_scope,
-    configure_checkpoints,
+    configure_cache,
     current_scope,
     get_registry,
     parallel,
@@ -131,7 +131,7 @@ class TestRunTasksInline:
 
 class TestCancelledCheckpointsResume:
     def test_completed_chunks_survive_and_seed_the_retry(self, tmp_path):
-        configure_checkpoints(tmp_path)
+        configure_cache(disk_dir=tmp_path)
         try:
             reg = get_registry()
             scope = CancelScope()
@@ -145,7 +145,8 @@ class TestCancelledCheckpointsResume:
 
             with cancel_scope(scope):
                 with pytest.raises(JobCancelledError):
-                    run_tasks(fn, [1, 2, 3, 4, 5], checkpoint="cancel-batch")
+                    run_tasks(fn, [1, 2, 3, 4, 5], checkpoint=("cancel-batch",))
+            assert len(list(tmp_path.glob("chunk-*.pkl"))) == 3
 
             # The retry (no cancellation) resumes from the three chunks
             # the cancelled run sealed.
@@ -156,12 +157,12 @@ class TestCancelledCheckpointsResume:
                 second_calls.append(x)
                 return x * 10
 
-            out = run_tasks(fn2, [1, 2, 3, 4, 5], checkpoint="cancel-batch")
+            out = run_tasks(fn2, [1, 2, 3, 4, 5], checkpoint=("cancel-batch",))
             assert out == [10, 20, 30, 40, 50]
             assert second_calls == [4, 5]
             assert reg.counter("engine.checkpoint_resumes") == before + 1
         finally:
-            configure_checkpoints(None)
+            configure_cache(disk_dir=None)
 
 
 class TestCancelParallelTransports:

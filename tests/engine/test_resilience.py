@@ -13,9 +13,10 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from repro.engine import (
+    ResultCache,
+    cache_disabled,
     cached,
     configure_cache,
-    configure_checkpoints,
     faults,
     get_cache,
     get_registry,
@@ -25,7 +26,7 @@ from repro.engine import (
     spawn_seeds,
     unseal_payload,
 )
-from repro.engine.resilience import CheckpointStore, ResiliencePolicy, resolve_policy
+from repro.engine.resilience import ResiliencePolicy, resolve_policy
 from repro.errors import ConvergenceError, TaskTimeoutError
 from repro.ir.backends.ssa import ensemble_moments, reaction_run
 from repro.pepa.ctmc import ctmc_of
@@ -60,6 +61,21 @@ _flaky_reaction_run.checkpoint_name = "flaky-reaction-run"
 @pytest.fixture(autouse=True)
 def _fast_retries(monkeypatch):
     monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+
+
+@pytest.fixture
+def disk_cache(tmp_path):
+    """The process cache with a disk layer under ``tmp_path``: results
+    and batch checkpoints both live there."""
+    cache = configure_cache(disk_dir=tmp_path)
+    try:
+        yield cache
+    finally:
+        configure_cache(disk_dir=None)
+
+
+def _chunks(root):
+    return sorted(root.glob("chunk-*.pkl"))
 
 
 class TestFaultHarness:
@@ -251,19 +267,21 @@ class TestCacheCorruption:
 
 
 class TestCheckpointedEnsembles:
-    def test_interrupted_ensemble_resumes_bit_identical(self, tmp_path):
+    def test_interrupted_ensemble_resumes_bit_identical(self, tmp_path, disk_cache):
         ir = birth_death_ir()
-        ref = ensemble_moments(reaction_run, ir, GRID, 200, seed=7)
+        with cache_disabled():
+            ref = ensemble_moments(reaction_run, ir, GRID, 200, seed=7)
         reg = get_registry()
-        configure_checkpoints(tmp_path)
         try:
             _CHAOS.update(count=0, fail_after=60)
             with pytest.raises(faults.InjectedFaultError):
                 ensemble_moments(_flaky_reaction_run, ir, GRID, 200, seed=7)
             # Chunks 0 and 1 (50 realizations) completed and were saved
-            # before the death 10 realizations into chunk 2.
-            saved = list(tmp_path.glob("ensemble-*/chunk-*.pkl"))
+            # before the death 10 realizations into chunk 2, as entries
+            # of one batch.
+            saved = _chunks(tmp_path)
             assert len(saved) == 2
+            assert len({p.name.rsplit("-", 1)[0] for p in saved}) == 1
             _CHAOS.update(count=0, fail_after=None)
             resumes = reg.counter("engine.checkpoint_resumes")
             out = ensemble_moments(_flaky_reaction_run, ir, GRID, 200, seed=7)
@@ -273,107 +291,134 @@ class TestCheckpointedEnsembles:
             assert_array_equal(ref.var, out.var)
             assert ref.events == out.events
             # Completion discards the batch's checkpoints.
-            assert not list(tmp_path.glob("ensemble-*/chunk-*.pkl"))
+            assert not _chunks(tmp_path)
         finally:
             _CHAOS.update(count=0, fail_after=None)
-            configure_checkpoints(None)
 
-    def test_run_tasks_skips_checkpointed_indices(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("batch", 0, 100)
-        store.save("batch", 2, 900)
-        configure_checkpoints(tmp_path)
-        try:
-            out = run_tasks(_square, [7, 8, 9], checkpoint="batch")
-        finally:
-            configure_checkpoints(None)
+    def test_run_tasks_skips_checkpointed_indices(self, tmp_path, disk_cache):
+        prefix = disk_cache.chunk_prefix(("batch",), 3)
+        disk_cache.save_chunk(prefix, 0, 100)
+        disk_cache.save_chunk(prefix, 2, 900)
+        out = run_tasks(_square, [7, 8, 9], checkpoint=("batch",))
         # Indices 0 and 2 come from the store, only index 1 is computed.
         assert out == [100, 64, 900]
-        assert not (tmp_path / "batch").exists()
+        assert not _chunks(tmp_path)
 
-    def test_corrupt_checkpoint_chunk_recomputed(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("batch", 0, 123)
-        chunk = tmp_path / "batch" / "chunk-000000.pkl"
+    def test_corrupt_checkpoint_chunk_recomputed(self, tmp_path, disk_cache):
+        prefix = disk_cache.chunk_prefix(("batch",), 1)
+        disk_cache.save_chunk(prefix, 0, 123)
+        (chunk,) = _chunks(tmp_path)
         chunk.write_bytes(chunk.read_bytes()[:10])
         reg = get_registry()
-        before = reg.counter("engine.checkpoint_corrupt")
-        assert store.load("batch", 3) == {}
-        assert reg.counter("engine.checkpoint_corrupt") == before + 1
-        configure_checkpoints(tmp_path)
-        try:
-            assert run_tasks(_square, [5], checkpoint="batch") == [25]
-        finally:
-            configure_checkpoints(None)
+        before = reg.counter("cache.corrupt_entries")
+        assert run_tasks(_square, [5], checkpoint=("batch",)) == [25]
+        assert reg.counter("cache.corrupt_entries") == before + 1
+        assert list(tmp_path.glob("chunk-*.corrupt")), "torn chunk not quarantined"
+
+    def test_env_mismatched_chunk_quarantined_and_recomputed(self, tmp_path, disk_cache):
+        import pickle
+
+        prefix = disk_cache.chunk_prefix(("batch",), 2)
+        foreign = seal_payload(
+            pickle.dumps(999), env=b'{"numpy": "0.0", "python": "0.0", "scipy": "0.0"}'
+        )
+        (tmp_path / f"{prefix}-000000.pkl").write_bytes(foreign)
+        reg = get_registry()
+        before = reg.counter("cache.env_mismatch")
+        resumes = reg.counter("engine.checkpoint_resumes")
+        assert run_tasks(_square, [3, 4], checkpoint=("batch",)) == [9, 16]
+        assert reg.counter("cache.env_mismatch") == before + 1
+        assert reg.counter("engine.checkpoint_resumes") == resumes
+        assert list(tmp_path.glob("chunk-*.envmismatch"))
 
     def test_checkpoint_dir_from_environment(self, tmp_path, monkeypatch):
-        from repro.engine import resilience
-        from repro.engine.resilience import get_checkpoint_store
+        from repro.engine.cache import _cache_from_env
 
-        # Clear any configure_checkpoints override so the env decides.
-        monkeypatch.setattr(resilience, "_CHECKPOINT_DIR", resilience._CKPT_UNSET)
-        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
-        assert get_checkpoint_store() is None
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        store = get_checkpoint_store()
-        assert store is not None and store.root == tmp_path
+        # Checkpointing follows the cache's disk layer: on exactly when
+        # the cache is enabled and $REPRO_CACHE_DIR names a directory.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        assert _cache_from_env().chunk_prefix(("batch",), 3) is None
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cache = _cache_from_env()
+        assert cache.disk_dir == tmp_path
+        assert cache.chunk_prefix(("batch",), 3).startswith("chunk-")
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        assert _cache_from_env().chunk_prefix(("batch",), 3) is None
+
+    def test_completed_batch_leaves_no_chunk_entries(self, tmp_path, disk_cache):
+        ir = birth_death_ir()
+        saved = get_registry().counter("engine.checkpoint_saved")
+        ensemble_moments(reaction_run, ir, GRID, 100, seed=3)
+        assert get_registry().counter("engine.checkpoint_saved") == saved + 4
+        assert not _chunks(tmp_path)
+        assert not list(tmp_path.glob("chunk-*"))
+
+    def test_checkpointed_batch_never_grows_the_memory_lru(self, tmp_path, disk_cache):
+        ir = birth_death_ir()
+        entries = len(disk_cache)
+        try:
+            _CHAOS.update(count=0, fail_after=60)
+            with pytest.raises(faults.InjectedFaultError):
+                ensemble_moments(_flaky_reaction_run, ir, GRID, 200, seed=5)
+            assert len(_chunks(tmp_path)) == 2
+            assert len(disk_cache) == entries
+            _CHAOS.update(count=0, fail_after=None)
+            ensemble_moments(_flaky_reaction_run, ir, GRID, 200, seed=5)
+        finally:
+            _CHAOS.update(count=0, fail_after=None)
+        assert len(disk_cache) == entries
 
 
 class TestCheckpointLayoutValidation:
-    def test_layout_mismatch_discards_with_warning(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("batch", 0, 1.5, n_tasks=8)
-        assert store.load("batch", 8) == {0: 1.5}
-        reg = get_registry()
-        before = reg.counter("engine.checkpoint_layout_mismatch")
-        with pytest.warns(RuntimeWarning, match="different chunk layout"):
-            assert store.load("batch", 20) == {}
-        assert reg.counter("engine.checkpoint_layout_mismatch") == before + 1
-        # The stale batch was discarded entirely, not merely skipped.
-        assert store.load("batch", 8) == {}
-
-    def test_legacy_batch_without_layout_record_still_loads(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("batch", 1, 42)  # legacy caller: no layout recorded
-        assert store.load("batch", 8) == {1: 42}
-        assert store.load("batch", 3) == {1: 42}  # nothing to validate
+    def test_layout_change_is_a_different_key(self, disk_cache):
+        assert disk_cache.chunk_prefix(("batch",), 8) != disk_cache.chunk_prefix(
+            ("batch",), 20
+        )
+        prefix = disk_cache.chunk_prefix(("batch",), 8)
+        disk_cache.save_chunk(prefix, 0, 1.5)
+        assert disk_cache.load_chunks(prefix, 8) == {0: 1.5}
+        assert disk_cache.load_chunks(disk_cache.chunk_prefix(("batch",), 20), 20) == {}
 
     def test_chunk_size_change_between_interrupt_and_resume(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, disk_cache
     ):
-        """Regression: the ensemble checkpoint key hashes (runner,
-        payload, grid, n_runs, seed) but not CHUNK_RUNS, so partials
-        written before a chunk-size change land on the *same* key as the
-        resumed run.  Without the layout record the resume would merge
-        25-run partials into a 10-run reduction — silently, and wrongly.
+        """Regression: partials written before a chunk-size change must
+        never merge into the resumed reduction.  With CHUNK_RUNS=10 the
+        task count changes (8 -> 20); with CHUNK_RUNS=26 it stays 8, so
+        only CHUNK_RUNS in the key keeps the 25-run partials out.
         """
         from repro.ir.backends import ssa as ssa_module
 
         ir = birth_death_ir()
         reg = get_registry()
-        configure_checkpoints(tmp_path)
-        try:
-            _CHAOS.update(count=0, fail_after=60)
-            with pytest.raises(faults.InjectedFaultError):
-                ensemble_moments(_flaky_reaction_run, ir, GRID, 200, seed=21)
-            # Two 25-run chunks survived the interruption.
-            assert len(list(tmp_path.glob("ensemble-*/chunk-*.pkl"))) == 2
-            # The run restarts under a build with a different chunk size.
-            monkeypatch.setattr(ssa_module, "CHUNK_RUNS", 10)
-            _CHAOS.update(count=0, fail_after=None)
-            before = reg.counter("engine.checkpoint_layout_mismatch")
-            with pytest.warns(RuntimeWarning, match="different chunk layout"):
+        chunk_runs = ssa_module.CHUNK_RUNS
+        for resumed_chunk_runs in (10, 26):
+            monkeypatch.setattr(ssa_module, "CHUNK_RUNS", chunk_runs)
+            try:
+                _CHAOS.update(count=0, fail_after=60)
+                with pytest.raises(faults.InjectedFaultError):
+                    ensemble_moments(_flaky_reaction_run, ir, GRID, 200, seed=21)
+                # Two 25-run chunks survived the interruption.
+                assert len(_chunks(tmp_path)) == 2
+                # The run restarts under a build with another chunk size.
+                monkeypatch.setattr(ssa_module, "CHUNK_RUNS", resumed_chunk_runs)
+                _CHAOS.update(count=0, fail_after=None)
+                resumes = reg.counter("engine.checkpoint_resumes")
                 out = ensemble_moments(_flaky_reaction_run, ir, GRID, 200, seed=21)
-            assert reg.counter("engine.checkpoint_layout_mismatch") == before + 1
-            # Every realization was recomputed; no stale partial leaked in.
-            assert _CHAOS["count"] == 200
-        finally:
-            _CHAOS.update(count=0, fail_after=None)
-            configure_checkpoints(None)
-        ref = ensemble_moments(reaction_run, ir, GRID, 200, seed=21)
-        assert_array_equal(ref.mean, out.mean)
-        assert_array_equal(ref.var, out.var)
-        assert ref.events == out.events
+                assert reg.counter("engine.checkpoint_resumes") == resumes
+                # Every realization was recomputed; no stale partial leaked in.
+                assert _CHAOS["count"] == 200
+            finally:
+                _CHAOS.update(count=0, fail_after=None)
+            with cache_disabled():
+                ref = ensemble_moments(reaction_run, ir, GRID, 200, seed=21)
+            assert_array_equal(ref.mean, out.mean)
+            assert_array_equal(ref.var, out.var)
+            assert ref.events == out.events
+            # The stale 25-run batch is left for the TTL purge.
+            for chunk in _chunks(tmp_path):
+                chunk.unlink()
 
 
 class TestPolicyResolution:
@@ -445,58 +490,69 @@ class TestCombinedChaos:
 
 class TestCheckpointTTLPurge:
     """Satellite of the service work: a long-lived process must not let
-    abandoned partials accumulate forever under the checkpoint root."""
+    abandoned partials accumulate forever in the disk cache."""
 
     @staticmethod
-    def _age(directory, seconds):
+    def _age(paths, seconds):
         import os
         import time as _time
 
         stamp = _time.time() - seconds
-        for entry in directory.iterdir():
-            os.utime(entry, (stamp, stamp))
-        os.utime(directory, (stamp, stamp))
+        for path in paths:
+            os.utime(path, (stamp, stamp))
 
-    def test_purges_only_expired_batches(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("stale", 0, 1, n_tasks=4)
-        store.save("fresh", 0, 2, n_tasks=4)
-        self._age(tmp_path / "stale", 3600.0)
+    def test_purges_only_expired_batches(self, tmp_path, disk_cache):
+        stale = disk_cache.chunk_prefix(("stale",), 4)
+        fresh = disk_cache.chunk_prefix(("fresh",), 4)
+        disk_cache.save_chunk(stale, 0, 1)
+        disk_cache.save_chunk(stale, 1, 1)
+        disk_cache.save_chunk(fresh, 0, 2)
+        cached("purge-result", (1,), lambda: 3)  # a result entry, never evicted
+        self._age(tmp_path.iterdir(), 3600.0)
+        disk_cache.save_chunk(fresh, 1, 2)
         reg = get_registry()
         before = reg.counter("engine.checkpoint_purged")
-        assert store.purge_expired(ttl_seconds=600.0) == 1
-        assert not (tmp_path / "stale").exists()
-        assert (tmp_path / "fresh").exists()
+        assert disk_cache.purge_chunks(ttl_seconds=600.0) == 1
+        assert not list(tmp_path.glob(f"{stale}-*"))
+        assert len(list(tmp_path.glob(f"{fresh}-*.pkl"))) == 2
+        assert len(list(tmp_path.glob("purge-result-*.pkl"))) == 1
         assert reg.counter("engine.checkpoint_purged") == before + 1
 
-    def test_batch_age_is_its_newest_chunk(self, tmp_path):
+    def test_batch_age_is_its_newest_chunk(self, tmp_path, disk_cache):
         # A live job keeps sealing chunks: one recent chunk protects the
         # whole batch even when its first chunks are old.
-        store = CheckpointStore(tmp_path)
-        store.save("live", 0, 1, n_tasks=4)
-        self._age(tmp_path / "live", 3600.0)
-        store.save("live", 1, 2, n_tasks=4)
-        assert store.purge_expired(ttl_seconds=600.0) == 0
-        assert (tmp_path / "live").exists()
+        live = disk_cache.chunk_prefix(("live",), 4)
+        disk_cache.save_chunk(live, 0, 1)
+        self._age(_chunks(tmp_path), 3600.0)
+        disk_cache.save_chunk(live, 1, 2)
+        assert disk_cache.purge_chunks(ttl_seconds=600.0) == 0
+        assert len(_chunks(tmp_path)) == 2
 
     def test_missing_root_and_bad_ttl(self, tmp_path):
-        store = CheckpointStore(tmp_path / "never-created")
-        assert store.purge_expired(ttl_seconds=0.0) == 0
+        cache = ResultCache(disk_dir=tmp_path / "never-created")
+        assert cache.purge_chunks(ttl_seconds=0.0) == 0
+        assert ResultCache().purge_chunks(ttl_seconds=0.0) == 0
         with pytest.raises(ValueError):
-            CheckpointStore(tmp_path).purge_expired(ttl_seconds=-1.0)
+            ResultCache(disk_dir=tmp_path).purge_chunks(ttl_seconds=-1.0)
 
-    def test_resume_after_purge_falls_back_to_clean_run(self, tmp_path):
+    def test_resume_after_purge_falls_back_to_clean_run(self, tmp_path, disk_cache):
         # An interrupted batch whose checkpoints were purged must simply
         # recompute everything — correct values, no resume counted.
-        store = CheckpointStore(tmp_path)
-        store.save("batch", 0, 999_999, n_tasks=3)  # poison partial
-        assert store.purge_expired(ttl_seconds=0.0) == 1
+        prefix = disk_cache.chunk_prefix(("batch",), 3)
+        disk_cache.save_chunk(prefix, 0, 999_999)  # poison partial
+        assert disk_cache.purge_chunks(ttl_seconds=0.0) == 1
         reg = get_registry()
         resumes = reg.counter("engine.checkpoint_resumes")
-        configure_checkpoints(tmp_path)
-        try:
-            out = run_tasks(_square, [4, 5, 6], checkpoint="batch")
-        finally:
-            configure_checkpoints(None)
+        out = run_tasks(_square, [4, 5, 6], checkpoint=("batch",))
         assert out == [16, 25, 36]  # the poison value is gone
         assert reg.counter("engine.checkpoint_resumes") == resumes
+
+    def test_service_startup_purges_with_its_checkpoint_ttl(self, tmp_path, disk_cache):
+        from repro.service import ServiceConfig
+        from repro.service.server import JobService
+
+        stale = disk_cache.chunk_prefix(("abandoned-job",), 2)
+        disk_cache.save_chunk(stale, 0, 1)
+        self._age(_chunks(tmp_path), 3600.0)
+        JobService(tmp_path / "svc", config=ServiceConfig(checkpoint_ttl=600.0))
+        assert not _chunks(tmp_path)

@@ -106,7 +106,7 @@ def server_env(tmp_path):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_CHECKPOINT_DIR"] = str(tmp_path / "checkpoints")
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "checkpoints")
     env.pop("REPRO_FAULT_PLAN", None)
     return env
 
@@ -175,10 +175,10 @@ class TestCrashRecovery:
         assert list(scratch.iterdir()), "fault never claimed its fire slot"
 
         # Chunks 0..2 were checkpointed before the crash.
-        checkpoint_root = Path(env["REPRO_CHECKPOINT_DIR"])
-        batches = [d for d in checkpoint_root.iterdir() if d.is_dir()]
-        assert len(batches) == 1
-        assert len(list(batches[0].glob("*.pkl"))) == 3
+        checkpoint_root = Path(env["REPRO_CACHE_DIR"])
+        chunks = list(checkpoint_root.glob("chunk-*.pkl"))
+        assert len({c.name.rsplit("-", 1)[0] for c in chunks}) == 1
+        assert len(chunks) == 3
 
         # Same state dir, same env: the unsealed journal recovers the
         # job and the solve resumes from the surviving chunks.
