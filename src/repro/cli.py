@@ -512,8 +512,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         workers=args.workers,
         tenant_rate=args.tenant_rate,
         tenant_burst=args.tenant_burst,
-        shed_threshold=args.shed_threshold,
-        shed_priority=args.shed_priority,
         default_deadline=args.deadline,
         drain_timeout=args.drain_timeout,
         transport=args.transport,
@@ -1038,10 +1036,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="per-tenant submissions/second")
     p.add_argument("--tenant-burst", type=float, default=None,
                    help="per-tenant burst allowance")
-    p.add_argument("--shed-threshold", type=float, default=None,
-                   help="load in (0,1] above which low-priority work is shed")
-    p.add_argument("--shed-priority", type=int, default=None,
-                   help="numeric priority at or above which work is sheddable")
     p.add_argument("--deadline", type=float, default=None,
                    help="default per-job deadline in seconds")
     p.add_argument("--drain-timeout", type=float, default=None,
@@ -1049,11 +1043,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_transport_argument(
         p, "engine transport jobs execute on; 'remote' also starts "
         "the fleet coordinator for 'repro worker' processes "
-        "(default $REPRO_SERVE_TRANSPORT)",
+        "(default $REPRO_TRANSPORT)",
     )
     p.add_argument("--fleet-bind", default=None, metavar="HOST:PORT",
                    help="with --transport remote: coordinator bind address "
-                   "(default $REPRO_SERVE_FLEET_BIND, else 127.0.0.1:0)")
+                   "(default $REPRO_REMOTE_BIND, else 127.0.0.1:0)")
     p.add_argument("--token", default=None,
                    help="shared-secret bearer token for the job API and "
                    "worker registration (default $REPRO_SERVE_TOKEN)")

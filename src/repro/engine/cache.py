@@ -27,9 +27,11 @@ The disk layer also holds batch checkpoints: each completed task of a
 checkpointed :func:`~repro.engine.executor.run_tasks` batch is a disk
 entry ``chunk-<sha256>-<index>``, where the hash covers the caller's
 key parts and the task count.  An interrupted batch resumes from these
-entries, a finished one deletes them, and :meth:`ResultCache.purge_chunks`
-ages out the batches nobody resumed.  Chunks never enter the in-memory
-LRU.
+entries and a finished one deletes them.  Chunks never enter the
+in-memory LRU.  :meth:`ResultCache.purge_chunks` ages out the batches
+nobody resumed, but only ``repro serve`` calls it (at startup, with
+``$REPRO_SERVE_CHECKPOINT_TTL``); outside the service an abandoned
+batch's entries stay on disk until removed by hand.
 
 Environment knobs::
 
@@ -200,9 +202,7 @@ def canonical_key(namespace: str, *parts) -> str:
 # Integrity trailer
 # ---------------------------------------------------------------------------
 
-_LEGACY_MAGIC = b"RPRO1"
 _PAYLOAD_MAGIC = b"RPRO2"
-_LEGACY_TRAILER_LEN = 32 + len(_LEGACY_MAGIC)
 # v2 trailer: sha256(payload + env + env_len) | env_len (uint32 LE) | magic
 _TRAILER_LEN = 32 + 4 + len(_PAYLOAD_MAGIC)
 
@@ -233,39 +233,28 @@ def seal_payload(payload: bytes, env: bytes | None = None) -> bytes:
 def unseal_payload_env(blob: bytes) -> tuple[bytes, dict | None] | None:
     """Verify a sealed blob; return ``(payload, env)`` or ``None``.
 
-    ``env`` is the writer's environment fingerprint, or ``None`` for
-    legacy (pre-fingerprint) trailers whose environment is unknown —
-    callers that care about environment identity must treat unknown as
-    a mismatch.  Returns ``None`` outright when the blob is torn,
-    truncated or tampered with.
+    ``env`` is the writer's environment fingerprint, or ``None`` when
+    the sealed fingerprint is not a JSON object — callers that care
+    about environment identity must treat that as a mismatch.  Returns
+    ``None`` outright when the blob is torn, truncated, tampered with,
+    or not sealed by :func:`seal_payload` at all.
     """
-    if blob.endswith(_PAYLOAD_MAGIC):
-        if len(blob) < _TRAILER_LEN:
-            return None
-        len_bytes = blob[-_TRAILER_LEN : -_TRAILER_LEN + 4]
-        digest = blob[-(32 + len(_PAYLOAD_MAGIC)) : -len(_PAYLOAD_MAGIC)]
-        (env_len,) = struct.unpack("<I", len_bytes)
-        if len(blob) < _TRAILER_LEN + env_len:
-            return None
-        env_raw = blob[-_TRAILER_LEN - env_len : -_TRAILER_LEN]
-        payload = blob[: -_TRAILER_LEN - env_len]
-        if hashlib.sha256(payload + env_raw + len_bytes).digest() != digest:
-            return None
-        try:
-            env = json.loads(env_raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return None
-        return payload, env if isinstance(env, dict) else None
-    if blob.endswith(_LEGACY_MAGIC):
-        # Pre-fingerprint trailer: integrity-checkable, environment unknown.
-        if len(blob) < _LEGACY_TRAILER_LEN:
-            return None
-        payload = blob[: -_LEGACY_TRAILER_LEN]
-        digest = blob[-_LEGACY_TRAILER_LEN : -len(_LEGACY_MAGIC)]
-        if hashlib.sha256(payload).digest() != digest:
-            return None
-        return payload, None
-    return None
+    if not blob.endswith(_PAYLOAD_MAGIC) or len(blob) < _TRAILER_LEN:
+        return None
+    len_bytes = blob[-_TRAILER_LEN : -_TRAILER_LEN + 4]
+    digest = blob[-(32 + len(_PAYLOAD_MAGIC)) : -len(_PAYLOAD_MAGIC)]
+    (env_len,) = struct.unpack("<I", len_bytes)
+    if len(blob) < _TRAILER_LEN + env_len:
+        return None
+    env_raw = blob[-_TRAILER_LEN - env_len : -_TRAILER_LEN]
+    payload = blob[: -_TRAILER_LEN - env_len]
+    if hashlib.sha256(payload + env_raw + len_bytes).digest() != digest:
+        return None
+    try:
+        env = json.loads(env_raw.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        return None
+    return payload, env if isinstance(env, dict) else None
 
 
 def unseal_payload(blob: bytes) -> bytes | None:
@@ -340,8 +329,7 @@ class ResultCache:
         A corrupt or truncated entry is quarantined — renamed to
         ``<key>.pkl.<pid>.corrupt`` for post-mortem inspection — counted,
         and treated as a miss.  An intact entry written under a
-        *different* environment fingerprint (or a legacy pre-fingerprint
-        trailer whose environment is unknown) is likewise quarantined as
+        *different* environment fingerprint is likewise quarantined as
         ``<key>.pkl.<pid>.envmismatch`` and counted under
         ``cache.env_mismatch``: a float produced by another numpy/scipy
         build is not evidence about this one.

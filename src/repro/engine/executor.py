@@ -45,7 +45,7 @@ from repro.engine import faults
 from repro.engine.cache import get_cache
 from repro.engine.cancellation import current_scope
 from repro.engine.metrics import get_registry
-from repro.engine.resilience import resolve_policy
+from repro.engine.resilience import ResiliencePolicy, resolve_policy
 from repro.engine.transport import get_transport, resolve_transport
 
 __all__ = [
@@ -210,17 +210,16 @@ def run_tasks(
         if faults.should_fire("server_crash", task_index=index) is not None:
             os._exit(70)
 
+    policy = ResiliencePolicy()
     if chosen.name == "inline":
         reg.increment("engine.sequential_batches")
         if prefix is None and not scope.active:
             return [fn(task) for task in tasks]
-        for index in missing:
-            scope.raise_if_cancelled()
-            on_result(index, fn(tasks[index]))
     elif missing:
         reg.increment("engine.parallel_batches")
         reg.increment("engine.tasks_dispatched", by=len(missing))
         policy = resolve_policy(config.task_timeout, config.max_retries)
+    if missing:
         chosen.run(
             fn,
             [tasks[i] for i in missing],

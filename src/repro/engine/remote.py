@@ -33,9 +33,10 @@ the two result digests are compared — agreement is counted
 loudly (``engine.remote_digest_divergence``) because two answers for
 one unit means the determinism contract itself is broken.
 
-**Circuit breaker.**  Per worker: consecutive delivery failures open
-the breaker (no grants) for an exponentially growing backoff; a
-half-open probe unit then decides between closing it and re-opening.
+**Circuit breaker.**  Per worker: :data:`BREAKER_FAILURES` consecutive
+delivery failures open the breaker (no grants) for an exponentially
+growing backoff; a half-open probe unit then decides between closing
+it and re-opening.
 Flapping nodes stop receiving work without operator action.
 
 **Degradation is total-order.**  No healthy worker for
@@ -43,8 +44,8 @@ Flapping nodes stop receiving work without operator action.
 the supervised pool transport (which itself degrades to sequential
 in-parent execution) — remote → pool → inline, every step
 bit-identical.  A single unit that keeps bouncing
-(``$REPRO_REMOTE_MAX_REDISPATCH`` re-dispatches) runs in-parent
-instead of starving the batch.
+(:data:`MAX_REDISPATCH` re-dispatches) runs in-parent instead of
+starving the batch.
 
 Fault kinds (:mod:`repro.engine.faults`) this layer enacts:
 ``heartbeat_loss`` (worker computes but stops heartbeating for
@@ -56,12 +57,11 @@ lease despite a healthy worker).  ``worker_crash`` / ``task_timeout``
 :func:`repro.engine.resilience._invoke` shim as every other transport.
 
 Knobs (all ``REPRO_REMOTE_*``, documented in ``docs/engine.md``):
-``BIND``, ``TOKEN``, ``LEASE``, ``HEARTBEAT``, ``CONNECT_WAIT``,
-``MAX_REDISPATCH``, ``BREAKER_FAILURES``, ``BREAKER_BACKOFF``,
-``SPAWN``.  ``repro worker`` (or ``python -m repro.engine.remote``)
-runs the worker loop; ``repro serve --transport remote`` starts the
-coordinator inside the job service so N workers form a shardable
-fleet.
+``BIND``, ``TOKEN``, ``LEASE``, ``CONNECT_WAIT``, ``SPAWN``.  Workers
+heartbeat every third of the lease.  ``repro worker`` (or
+``python -m repro.engine.remote``) runs the worker loop; ``repro serve
+--transport remote`` starts the coordinator inside the job service so
+N workers form a shardable fleet.
 """
 
 from __future__ import annotations
@@ -87,12 +87,7 @@ from repro.engine.cache import seal_payload, unseal_payload
 from repro.engine.cancellation import current_scope
 from repro.engine.environment import environment_fingerprint
 from repro.engine.metrics import get_registry
-from repro.engine.resilience import (
-    ResiliencePolicy,
-    _invoke,
-    env_number,
-    resolve_policy,
-)
+from repro.engine.resilience import ResiliencePolicy, _invoke, env_number
 from repro.engine.transport import Transport
 from repro.engine.wire import BadRequest, JsonHandler, check_token, request_json, start_http
 from repro.errors import JobCancelledError, TransportError, WorkerRejectedError
@@ -112,32 +107,36 @@ __all__ = [
 #: Parent-side collect loop tick (lease expiry / cancellation latency).
 _TICK_SECONDS = 0.05
 
+#: Consecutive delivery failures that open a worker's circuit breaker.
+BREAKER_FAILURES = 3
+
+#: First open-breaker backoff in seconds, doubling per re-open up to
+#: the cap.
+BREAKER_BACKOFF = 0.5
+BREAKER_BACKOFF_CAP = 30.0
+
+#: Re-dispatches of one unit before it runs in the parent instead.
+MAX_REDISPATCH = 5
+
 
 @dataclass(frozen=True)
 class FleetConfig:
     """Coordinator tuning, resolved from ``REPRO_REMOTE_*`` by default.
 
     ``lease_seconds`` is both the per-unit lease length and the worker
-    liveness window (a worker silent for that long is suspect);
-    ``heartbeat_seconds`` defaults to a third of the lease so a healthy
-    worker renews well inside it.
+    liveness window (a worker silent for that long is suspect); the
+    heartbeat interval is a third of it, so a healthy worker renews
+    well inside it.
     """
 
     bind: str = "127.0.0.1:0"
     token: str | None = None
     lease_seconds: float = 15.0
-    heartbeat_seconds: float | None = None
     connect_wait: float = 10.0
-    max_redispatch: int = 5
-    breaker_failures: int = 3
-    breaker_backoff: float = 0.5
-    breaker_backoff_cap: float = 30.0
     spawn: int = 0
 
     @property
     def heartbeat(self) -> float:
-        if self.heartbeat_seconds is not None:
-            return self.heartbeat_seconds
         return max(0.05, self.lease_seconds / 3.0)
 
     @classmethod
@@ -148,11 +147,7 @@ class FleetConfig:
             or os.environ.get("REPRO_SERVE_TOKEN")
             or None,
             "lease_seconds": env_number("REPRO_REMOTE_LEASE", 15.0, float),
-            "heartbeat_seconds": env_number("REPRO_REMOTE_HEARTBEAT", None, float),
             "connect_wait": env_number("REPRO_REMOTE_CONNECT_WAIT", 10.0, float),
-            "max_redispatch": env_number("REPRO_REMOTE_MAX_REDISPATCH", 5, int),
-            "breaker_failures": env_number("REPRO_REMOTE_BREAKER_FAILURES", 3, int),
-            "breaker_backoff": env_number("REPRO_REMOTE_BREAKER_BACKOFF", 0.5, float),
             "spawn": env_number("REPRO_REMOTE_SPAWN", 0, int),
         }
         values.update({k: v for k, v in overrides.items() if v is not None})
@@ -172,12 +167,11 @@ class _Breaker:
     the worker delivered a frame, the task simply failed.
     """
 
-    def __init__(self, config: FleetConfig):
-        self._config = config
+    def __init__(self):
         self.state = "closed"
         self.failures = 0
         self.open_until = 0.0
-        self._backoff = config.breaker_backoff
+        self._backoff = BREAKER_BACKOFF
         self.probe_inflight = False
 
     def allow(self, now: float) -> bool:
@@ -195,14 +189,12 @@ class _Breaker:
     def record_failure(self, now: float) -> None:
         self.failures += 1
         self.probe_inflight = False
-        if self.state == "half-open" or self.failures >= self._config.breaker_failures:
+        if self.state == "half-open" or self.failures >= BREAKER_FAILURES:
             if self.state != "open":
                 get_registry().increment("engine.remote_breaker_open")
             self.state = "open"
             self.open_until = now + self._backoff
-            self._backoff = min(
-                self._config.breaker_backoff_cap, self._backoff * 2.0
-            )
+            self._backoff = min(BREAKER_BACKOFF_CAP, self._backoff * 2.0)
 
     def record_success(self) -> None:
         if self.state != "closed":
@@ -210,18 +202,18 @@ class _Breaker:
         self.state = "closed"
         self.failures = 0
         self.probe_inflight = False
-        self._backoff = self._config.breaker_backoff
+        self._backoff = BREAKER_BACKOFF
 
 
 class _Worker:
     """Coordinator-side view of one registered worker."""
 
-    def __init__(self, worker_id: str, fingerprint: dict, config: FleetConfig):
+    def __init__(self, worker_id: str, fingerprint: dict):
         self.worker_id = worker_id
         self.fingerprint = fingerprint
         self.last_seen = time.monotonic()
         self.alive = True
-        self.breaker = _Breaker(config)
+        self.breaker = _Breaker()
         self.leases: set[str] = set()
 
 
@@ -315,7 +307,7 @@ class FleetCoordinator:
             }
         with self._lock:
             known = worker_id in self._workers
-            self._workers[worker_id] = _Worker(worker_id, fingerprint, self.config)
+            self._workers[worker_id] = _Worker(worker_id, fingerprint)
         if not known:
             reg.increment("engine.remote_workers_registered")
         return 200, {
@@ -464,7 +456,7 @@ class FleetCoordinator:
         unit.lease_deadline = None
         reg.increment(metric)
         unit.redispatches += 1
-        if unit.redispatches > self.config.max_redispatch:
+        if unit.redispatches > MAX_REDISPATCH:
             # The unit keeps bouncing: guarantee progress in-parent.
             unit.local = True
         else:
@@ -803,12 +795,10 @@ class RemoteWorkerTransport(Transport):
     name = "remote"
     isolates_tasks = True
 
-    def run(self, fn, tasks, *, workers=1, policy=None, on_result=None):
+    def run(self, fn, tasks, *, workers=1, policy=ResiliencePolicy(), on_result=None):
         tasks = list(tasks)
         if not tasks:
             return []
-        if policy is None:
-            policy = resolve_policy()
         scope = current_scope()
         coordinator, url = start_coordinator()
         _maintain_spawned(url, coordinator.config)

@@ -22,9 +22,12 @@ results are always returned (and reduced by callers) in task order, so
 a batch that survived a crash, a timeout, and a pool rebuild is
 bit-identical to an undisturbed sequential run.
 
-Policy knobs resolve, in order: explicit ``parallel(...)`` arguments,
-then the environment (``REPRO_TASK_TIMEOUT``, ``REPRO_MAX_RETRIES``,
-``REPRO_RETRY_BACKOFF``), then the defaults below.
+The per-task timeout and retry budget resolve, in order: explicit
+``parallel(...)`` arguments, then the environment
+(``REPRO_TASK_TIMEOUT``, ``REPRO_MAX_RETRIES``), then the defaults
+below.  :func:`resolve_policy` does that once per batch, in
+:func:`~repro.engine.executor.run_tasks`; the backoff and rebuild
+limits are the module constants below.
 """
 
 from __future__ import annotations
@@ -51,6 +54,15 @@ __all__ = [
     "supervised_map",
 ]
 
+#: Exponential-backoff sleep before retry ``k`` is
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(k-1))`` seconds; 0 disables it.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+
+#: How many times a broken or wedged pool is rebuilt before the
+#: remaining tasks degrade to sequential in-parent execution.
+MAX_POOL_REBUILDS = 3
+
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
@@ -65,19 +77,10 @@ class ResiliencePolicy:
     max_retries:
         How many times one task may be retried after a failure or a
         timeout before the batch gives up on it.
-    backoff_base / backoff_cap:
-        Exponential-backoff sleep before retry ``k`` is
-        ``min(cap, base * 2**(k-1))``; base 0 disables the sleep.
-    max_pool_rebuilds:
-        How many times a broken/wedged pool is rebuilt before the
-        remaining tasks degrade to sequential in-parent execution.
     """
 
     task_timeout: float | None = None
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    max_pool_rebuilds: int = 3
 
     def __post_init__(self):
         if self.task_timeout is not None and self.task_timeout <= 0:
@@ -116,12 +119,7 @@ def resolve_policy(
         max_retries = env_number("REPRO_MAX_RETRIES", 2, int)
         if max_retries < 0:
             max_retries = 0
-    backoff = env_number("REPRO_RETRY_BACKOFF", 0.05, float)
-    return ResiliencePolicy(
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        backoff_base=max(0.0, backoff),
-    )
+    return ResiliencePolicy(task_timeout=task_timeout, max_retries=max_retries)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +163,7 @@ def supervised_map(
     fn: Callable,
     tasks: Sequence,
     workers: int,
-    policy: ResiliencePolicy | None = None,
+    policy: ResiliencePolicy = ResiliencePolicy(),
     on_result: Callable[[int, object], None] | None = None,
 ) -> list:
     """Map ``fn`` over ``tasks`` on a supervised process pool.
@@ -184,11 +182,9 @@ def supervised_map(
       exhausted, raises :class:`~repro.errors.TaskTimeoutError` (a hung
       task would hang the parent too — degradation cannot help);
     * a broken pool (crashed worker) is rebuilt and only unfinished
-      tasks are resubmitted, up to ``max_pool_rebuilds`` times, after
-      which the remainder runs sequentially in the parent.
+      tasks are resubmitted, up to :data:`MAX_POOL_REBUILDS` times,
+      after which the remainder runs sequentially in the parent.
     """
-    if policy is None:
-        policy = resolve_policy()
     reg = get_registry()
     scope = current_scope()
     n = len(tasks)
@@ -203,8 +199,8 @@ def supervised_map(
             on_result(index, value)
 
     def backoff(attempt: int) -> None:
-        if policy.backoff_base > 0:
-            time.sleep(min(policy.backoff_cap, policy.backoff_base * 2 ** max(0, attempt - 1)))
+        if BACKOFF_BASE > 0:
+            time.sleep(min(BACKOFF_CAP, BACKOFF_BASE * 2 ** max(0, attempt - 1)))
 
     pool = ProcessPoolExecutor(max_workers=workers)
     to_run: deque[int] = deque(range(n))
@@ -250,13 +246,6 @@ def supervised_map(
                     except BrokenProcessPool:
                         broken = True
                         to_run.append(index)
-                    except faults.InjectedFaultError as exc:
-                        attempts[index] += 1
-                        if attempts[index] > policy.max_retries:
-                            raise
-                        reg.increment("engine.retries")
-                        backoff(attempts[index])
-                        to_run.append(index)
                     except Exception as exc:
                         if _is_pickle_error(exc):
                             reg.increment("engine.pickle_fallback")
@@ -299,7 +288,7 @@ def supervised_map(
                 ]
                 pending.clear()
                 deadlines.clear()
-                if rebuilds > policy.max_pool_rebuilds:
+                if rebuilds > MAX_POOL_REBUILDS:
                     # The pool keeps dying: degrade the remainder to
                     # sequential in-parent execution, the last resort
                     # that cannot be killed by worker failures.

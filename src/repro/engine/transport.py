@@ -39,6 +39,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Sequence
 
+from repro.engine.cancellation import current_scope
 from repro.engine.resilience import ResiliencePolicy, supervised_map
 from repro.errors import TransportError
 
@@ -69,11 +70,13 @@ class Transport:
         tasks: Sequence,
         *,
         workers: int = 1,
-        policy: ResiliencePolicy | None = None,
+        policy: ResiliencePolicy = ResiliencePolicy(),
         on_result: Callable[[int, object], None] | None = None,
     ) -> list:
         """Run ``fn`` over ``tasks``; results in task order.
-        ``on_result(index, value)`` sees each result as it lands."""
+        ``on_result(index, value)`` sees each result as it lands.
+        ``policy`` is the batch's resolved retry and timeout policy
+        (:func:`~repro.engine.resilience.resolve_policy`)."""
         raise NotImplementedError
 
 
@@ -82,13 +85,16 @@ class InlineTransport(Transport):
 
     Exceptions propagate immediately; there are no retries because
     nothing here can fail transiently (no pool, no pipe, no pickling).
+    A cancelled scope stops the batch before its next task.
     """
 
     name = "inline"
 
-    def run(self, fn, tasks, *, workers=1, policy=None, on_result=None):
+    def run(self, fn, tasks, *, workers=1, policy=ResiliencePolicy(), on_result=None):
+        scope = current_scope()
         results = []
         for index, task in enumerate(tasks):
+            scope.raise_if_cancelled()
             value = fn(task)
             if on_result is not None:
                 on_result(index, value)
@@ -108,7 +114,7 @@ class ProcessPoolTransport(Transport):
     name = "pool"
     isolates_tasks = True
 
-    def run(self, fn, tasks, *, workers=1, policy=None, on_result=None):
+    def run(self, fn, tasks, *, workers=1, policy=ResiliencePolicy(), on_result=None):
         tasks = list(tasks)
         workers = max(1, min(workers, len(tasks) or 1))
         return supervised_map(

@@ -53,7 +53,6 @@ import numpy as np
 
 from repro.engine import faults
 from repro.engine.metrics import get_registry
-from repro.engine.resilience import env_number
 from repro.errors import NumericalTrustError
 from repro.ir.markov import MarkovIR
 from repro.ir.reaction import ReactionIR
@@ -106,7 +105,6 @@ DEFAULT_SHADOW_TOL = {
 }
 
 _SHADOW_ENV = "REPRO_SHADOW_RATE"
-_SHADOW_TOL_ENV = "REPRO_SHADOW_TOL"
 
 #: Preferred shadow partners per capability, most-independent first.
 _SHADOW_PARTNERS = {
@@ -670,7 +668,6 @@ def shadow_compare(
     ir,
     result,
     shadow_result,
-    tolerance: float | None = None,
 ) -> dict:
     """Compare primary and shadow results; quarantine disagreements.
 
@@ -678,15 +675,12 @@ def shadow_compare(
     on agreement, raising :class:`~repro.errors.NumericalTrustError`
     (``invariant="shadow_mismatch"``, counted as
     ``ir.trust.shadow_mismatch``) when the max-abs disagreement exceeds
-    the tolerance — neither answer can be trusted at that point, which
-    is precisely what the paper's container-vs-native validation would
-    flag.
+    the capability's :data:`DEFAULT_SHADOW_TOL` — neither answer can
+    be trusted at that point, which is precisely what the paper's
+    container-vs-native validation would flag.
     """
     reg = get_registry()
-    if tolerance is None:
-        tolerance = env_number(
-            _SHADOW_TOL_ENV, DEFAULT_SHADOW_TOL.get(capability, 1e-8), float
-        )
+    tolerance = DEFAULT_SHADOW_TOL.get(capability, 1e-8)
     hook = _SHADOW_HOOKS.get(capability)
     if hook is not None:
         max_abs = float(hook[1](ir, result, shadow_result))

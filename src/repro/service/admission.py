@@ -12,8 +12,8 @@ crashed.  Admission is decided at submit time, in order:
    rest.
 3. **Overload shedding** — when measured load (queue depth relative to
    capacity, or worker saturation, whichever is higher) reaches
-   ``shed_threshold``, *low-priority* work (numeric priority >=
-   ``shed_priority``; 0 is most urgent) is refused with HTTP 503.
+   :data:`SHED_THRESHOLD`, *low-priority* work (numeric priority >=
+   :data:`SHED_PRIORITY`; 0 is most urgent) is refused with HTTP 503.
    Urgent work still gets in until the hard queue bound.
 
 Dispatch order is fair-share: the heap key is ``(priority, k, seq)``
@@ -41,6 +41,16 @@ from repro.engine.metrics import get_registry
 from repro.errors import JobRejectedError
 
 __all__ = ["TokenBucket", "AdmissionController"]
+
+#: Load in (0, 1] at which low-priority work is shed with a 503.
+SHED_THRESHOLD = 0.85
+
+#: Numeric priority at or above which work is sheddable.
+SHED_PRIORITY = 5
+
+#: ``Retry-After`` hint, in seconds, on refusals that have no better
+#: estimate (full queue, shedding, draining).
+RETRY_AFTER = 2.0
 
 
 class TokenBucket:
@@ -83,25 +93,15 @@ class AdmissionController:
         workers: int = 2,
         tenant_rate: float = 10.0,
         tenant_burst: float = 20.0,
-        shed_threshold: float = 0.85,
-        shed_priority: int = 5,
-        retry_after: float = 2.0,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if not 0.0 < shed_threshold <= 1.0:
-            raise ValueError(
-                f"shed_threshold must be in (0, 1], got {shed_threshold}"
-            )
         self.capacity = capacity
         self.workers = workers
         self.tenant_rate = tenant_rate
         self.tenant_burst = tenant_burst
-        self.shed_threshold = shed_threshold
-        self.shed_priority = shed_priority
-        self.retry_after = retry_after
         self._cv = threading.Condition()
         self._heap: list[tuple[int, int, int, str, str]] = []
         self._seq = itertools.count()
@@ -155,7 +155,7 @@ class AdmissionController:
                 raise JobRejectedError(
                     f"job queue is full ({self.capacity} jobs); retry later",
                     status=429,
-                    retry_after=self.retry_after,
+                    retry_after=RETRY_AFTER,
                 )
             bucket = self._buckets.setdefault(
                 tenant, TokenBucket(self.tenant_rate, self.tenant_burst)
@@ -164,22 +164,19 @@ class AdmissionController:
             if flooded or not bucket.try_acquire():
                 reg.increment("service.throttled")
                 reg.increment(f"service.throttled.tenant.{tenant}")
-                wait = self.retry_after if flooded else bucket.seconds_until_token()
+                wait = RETRY_AFTER if flooded else bucket.seconds_until_token()
                 raise JobRejectedError(
                     f"tenant {tenant!r} exceeded its submission rate",
                     status=429,
                     retry_after=max(wait, 0.1),
                 )
-            if (
-                priority >= self.shed_priority
-                and self._load_locked() >= self.shed_threshold
-            ):
+            if priority >= SHED_PRIORITY and self._load_locked() >= SHED_THRESHOLD:
                 reg.increment("service.shed")
                 raise JobRejectedError(
                     f"service overloaded (load {self._load_locked():.2f}); "
-                    f"shedding priority >= {self.shed_priority} work",
+                    f"shedding priority >= {SHED_PRIORITY} work",
                     status=503,
-                    retry_after=self.retry_after,
+                    retry_after=RETRY_AFTER,
                 )
             if on_admit is not None:
                 on_admit()

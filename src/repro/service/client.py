@@ -32,6 +32,13 @@ from repro.service.jobs import TERMINAL_STATES, JobSpec
 
 __all__ = ["ServiceClient"]
 
+#: Retries of an idempotent GET after a connection failure.
+RETRIES = 4
+
+#: First retry backoff in seconds, doubling per retry up to the cap.
+RETRY_BACKOFF = 0.1
+RETRY_BACKOFF_CAP = 2.0
+
 
 class ServiceClient:
     """Typed access to one service instance's HTTP API."""
@@ -41,9 +48,6 @@ class ServiceClient:
         base_url: str,
         timeout: float = 30.0,
         token: str | None = None,
-        retries: int = 4,
-        retry_backoff: float = 0.1,
-        retry_backoff_cap: float = 2.0,
     ):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
@@ -52,22 +56,17 @@ class ServiceClient:
             if token is not None
             else (os.environ.get("REPRO_SERVE_TOKEN") or None)
         )
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
 
     # -- plumbing -----------------------------------------------------------
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
-        attempts = self.retries + 1 if method == "GET" else 1
+        attempts = RETRIES + 1 if method == "GET" else 1
         last_reason = None
         for attempt in range(attempts):
             if attempt:
                 # Capped exponential backoff, fully jittered so a herd
                 # of recovering clients does not re-stampede in sync.
-                span = min(
-                    self.retry_backoff_cap, self.retry_backoff * (2 ** (attempt - 1))
-                )
+                span = min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * (2 ** (attempt - 1)))
                 time.sleep(random.uniform(span / 2, span))
             try:
                 return self._request_once(method, path, body)

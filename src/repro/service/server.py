@@ -28,7 +28,11 @@ start recovers and resumes, which the crash suite asserts is
 bit-identical.
 
 Every ``REPRO_SERVE_*`` knob is documented in ``docs/engine.md``;
-CLI flags override the environment.
+CLI flags override the environment.  The transport comes from
+``$REPRO_TRANSPORT`` and the fleet coordinator's bind address from
+``$REPRO_REMOTE_BIND``, as everywhere else in the engine; the
+shedding thresholds and the ``Retry-After`` hint are
+:mod:`repro.service.admission` constants.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from repro.engine.metrics import get_registry
 from repro.engine.resilience import env_number
 from repro.engine.wire import BadRequest, JsonHandler, start_http
 from repro.errors import JobRejectedError, ServiceError
-from repro.service.admission import AdmissionController
+from repro.service import admission
 from repro.service.jobs import TERMINAL_STATES, JobSpec
 from repro.service.journal import JobStore
 from repro.service.runner import JobRunner
@@ -64,9 +68,6 @@ class ServiceConfig:
     workers: int = 2
     tenant_rate: float = 10.0
     tenant_burst: float = 20.0
-    shed_threshold: float = 0.85
-    shed_priority: int = 5
-    retry_after: float = 2.0
     default_deadline: float | None = None
     drain_timeout: float = 10.0
     checkpoint_ttl: float | None = None
@@ -78,7 +79,8 @@ class ServiceConfig:
     #: ``"remote"`` additionally starts the fleet coordinator).
     transport: str | None = None
     #: Bind address for the fleet coordinator (``host:port``, port 0 =
-    #: ephemeral).  Only meaningful with ``transport="remote"``.
+    #: ephemeral; ``None`` = ``$REPRO_REMOTE_BIND``).  Only meaningful
+    #: with ``transport="remote"``.
     fleet_bind: str | None = None
     #: Online journal-compaction threshold in bytes (``None`` = compact
     #: only on clean seal).
@@ -91,15 +93,11 @@ class ServiceConfig:
             "workers": env_number("REPRO_SERVE_WORKERS", 2, int),
             "tenant_rate": env_number("REPRO_SERVE_TENANT_RATE", 10.0, float),
             "tenant_burst": env_number("REPRO_SERVE_TENANT_BURST", 20.0, float),
-            "shed_threshold": env_number("REPRO_SERVE_SHED_THRESHOLD", 0.85, float),
-            "shed_priority": env_number("REPRO_SERVE_SHED_PRIORITY", 5, int),
-            "retry_after": env_number("REPRO_SERVE_RETRY_AFTER", 2.0, float),
             "default_deadline": env_number("REPRO_SERVE_DEADLINE", None, float),
             "drain_timeout": env_number("REPRO_SERVE_DRAIN_TIMEOUT", 10.0, float),
             "checkpoint_ttl": env_number("REPRO_SERVE_CHECKPOINT_TTL", None, float),
             "token": os.environ.get("REPRO_SERVE_TOKEN") or None,
-            "transport": os.environ.get("REPRO_SERVE_TRANSPORT") or None,
-            "fleet_bind": os.environ.get("REPRO_SERVE_FLEET_BIND") or None,
+            "transport": os.environ.get("REPRO_TRANSPORT") or None,
             "journal_max_bytes": env_number(
                 "REPRO_SERVE_JOURNAL_MAX_BYTES", None, int
             ),
@@ -121,14 +119,11 @@ class JobService:
         self.store = JobStore(
             root, journal_max_bytes=self.config.journal_max_bytes
         )
-        self.admission = AdmissionController(
+        self.admission = admission.AdmissionController(
             capacity=self.config.queue_capacity,
             workers=self.config.workers,
             tenant_rate=self.config.tenant_rate,
             tenant_burst=self.config.tenant_burst,
-            shed_threshold=self.config.shed_threshold,
-            shed_priority=self.config.shed_priority,
-            retry_after=self.config.retry_after,
         )
         self.runner = JobRunner(
             self.store, self.admission,
@@ -175,7 +170,7 @@ class JobService:
                 return (
                     503,
                     {"error": "service is draining", "job_id": job_id},
-                    {"Retry-After": f"{self.config.retry_after:g}"},
+                    {"Retry-After": f"{admission.RETRY_AFTER:g}"},
                 )
             # Content-addressed dedupe: a finished identical job answers
             # from its stored result; an in-flight one is joined.
@@ -258,7 +253,7 @@ class JobService:
         }
         if self.draining or load >= 1.0:
             body["status"] = "unavailable"
-            return 503, body, {"Retry-After": f"{self.config.retry_after:g}"}
+            return 503, body, {"Retry-After": f"{admission.RETRY_AFTER:g}"}
         body["status"] = "ready"
         return 200, body, {}
 

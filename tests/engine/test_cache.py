@@ -352,14 +352,6 @@ class TestDiskIntegrity:
         assert payload == b"payload-bytes"
         assert env == environment_fingerprint()
 
-    def test_legacy_trailer_still_verifies_with_unknown_env(self):
-        import hashlib
-
-        payload = b"old-entry"
-        legacy = payload + hashlib.sha256(payload).digest() + b"RPRO1"
-        assert unseal_payload(legacy) == payload
-        assert unseal_payload_env(legacy) == (payload, None)
-
     def test_tampered_env_is_detected(self):
         blob = seal_payload(b"payload", env=b'{"numpy": "9.9.9"}')
         # Flip one byte inside the sealed env segment.
@@ -385,17 +377,27 @@ class TestDiskIntegrity:
         assert list(tmp_path.glob("*.envmismatch"))  # quarantined for inspection
         assert not (tmp_path / "k.pkl").exists()
 
-    def test_legacy_entry_with_unknown_env_is_quarantined(self, tmp_path):
+    def test_legacy_rpro1_entry_is_quarantined_and_recomputed(self, tmp_path):
         import hashlib
         import pickle
 
-        cache = ResultCache(max_entries=4, disk_dir=tmp_path)
-        payload = pickle.dumps(42)
-        legacy = payload + hashlib.sha256(payload).digest() + b"RPRO1"
-        (tmp_path / "old.pkl").write_bytes(legacy)
-        miss = cache.get("old")
-        assert not isinstance(miss, int)
-        assert list(tmp_path.glob("*.envmismatch"))
+        from repro.engine.metrics import get_registry
+
+        # A pre-fingerprint entry: payload, sha256(payload), b"RPRO1".
+        payload = pickle.dumps(41)
+        key = canonical_key("legacy", 1)
+        (tmp_path / f"{key}.pkl").write_bytes(
+            payload + hashlib.sha256(payload).digest() + b"RPRO1"
+        )
+        configure_cache(disk_dir=tmp_path)
+        try:
+            before = get_registry().counter("cache.corrupt_entries")
+            assert cached("legacy", (1,), lambda: 42) == (42, "miss")
+            assert get_registry().counter("cache.corrupt_entries") == before + 1
+            assert list(tmp_path.glob(f"{key}.pkl.*.corrupt"))
+            assert cached("legacy", (1,), lambda: 0) == (42, "hit")
+        finally:
+            configure_cache(disk_dir=None)
 
     def test_no_tmp_files_left_behind(self, tmp_path):
         # Writes go through per-process/per-call unique tmp names and an

@@ -20,13 +20,14 @@ from repro.engine import (
     parallel,
     run_tasks,
 )
+from repro.engine import resilience
 from repro.engine.cancellation import NULL_SCOPE
 from repro.errors import JobCancelledError
 
 
 @pytest.fixture(autouse=True)
 def _fast_retries(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+    monkeypatch.setattr(resilience, "BACKOFF_BASE", 0.0)
 
 
 class TestScope:

@@ -104,6 +104,12 @@ def test_malformed_fleet_env_warns_and_falls_back(monkeypatch):
     assert config.lease_seconds == 15.0
 
 
+def test_heartbeat_is_a_third_of_the_lease():
+    assert remote.FleetConfig().heartbeat == 5.0
+    assert remote.FleetConfig(lease_seconds=0.3).heartbeat == pytest.approx(0.1)
+    assert remote.FleetConfig(lease_seconds=0.06).heartbeat == 0.05  # floor
+
+
 def test_new_fault_kinds_exist():
     for kind in ("worker_partition", "heartbeat_loss", "lease_expiry"):
         assert kind in faults.FAULT_KINDS
@@ -207,10 +213,10 @@ def test_corrupt_frame_is_requeued_not_trusted():
 # -- coordinator-level: leases, breaker, re-dispatch -------------------------
 
 
-def test_expired_lease_redispatches_and_trips_breaker():
-    coord = _registered_coordinator(
-        lease_seconds=0.05, breaker_failures=1, breaker_backoff=30.0
-    )
+def test_expired_lease_redispatches_and_trips_breaker(monkeypatch):
+    monkeypatch.setattr(remote, "BREAKER_FAILURES", 1)
+    monkeypatch.setattr(remote, "BREAKER_BACKOFF", 30.0)
+    coord = _registered_coordinator(lease_seconds=0.05)
     batch = coord.submit_batch(square, [5], ResiliencePolicy(), None, NULL_SCOPE, 2)
     _, answer = coord.grant("w1")
     assert answer["unit"] is not None
@@ -242,8 +248,9 @@ def test_heartbeat_renews_leases():
     assert coord.pump(batch) == [(0, 25)]
 
 
-def test_redispatch_cap_degrades_unit_to_local():
-    coord = _registered_coordinator(lease_seconds=0.04, max_redispatch=1)
+def test_redispatch_cap_degrades_unit_to_local(monkeypatch):
+    monkeypatch.setattr(remote, "MAX_REDISPATCH", 1)
+    coord = _registered_coordinator(lease_seconds=0.04)
     batch = coord.submit_batch(square, [6], ResiliencePolicy(), None, NULL_SCOPE, 2)
     for worker in ("w1", "w2"):
         _, answer = coord.grant(worker)

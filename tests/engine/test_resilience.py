@@ -26,6 +26,7 @@ from repro.engine import (
     spawn_seeds,
     unseal_payload,
 )
+from repro.engine import resilience
 from repro.engine.resilience import ResiliencePolicy, resolve_policy
 from repro.errors import ConvergenceError, TaskTimeoutError
 from repro.ir.backends.ssa import ensemble_moments, reaction_run
@@ -60,7 +61,7 @@ _flaky_reaction_run.checkpoint_name = "flaky-reaction-run"
 
 @pytest.fixture(autouse=True)
 def _fast_retries(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+    monkeypatch.setattr(resilience, "BACKOFF_BASE", 0.0)
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import repro.engine.remote as remote
-from repro.engine import get_registry, parallel, run_tasks
+from repro.engine import get_registry, parallel, resilience, run_tasks
+from repro.engine.cancellation import cancel_scope
 from repro.engine.transport import (
     InlineTransport,
     ProcessPoolTransport,
@@ -17,7 +18,7 @@ from repro.engine.transport import (
     get_transport,
     resolve_transport,
 )
-from repro.errors import TransportError
+from repro.errors import JobCancelledError, TransportError
 from repro.ir.backends.ssa import ensemble_moments, reaction_run
 from tests.ir.test_reaction_ir import birth_death_ir
 
@@ -30,7 +31,7 @@ def _square(x):
 
 @pytest.fixture(autouse=True)
 def _fast_retries(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+    monkeypatch.setattr(resilience, "BACKOFF_BASE", 0.0)
 
 
 @pytest.fixture
@@ -86,6 +87,19 @@ class TestSelection:
 class TestRun:
     def test_run_returns_results_in_task_order(self):
         assert get_transport("inline").run(_square, [1, 2, 3]) == [1, 4, 9]
+
+    def test_inline_run_checks_the_cancel_scope_before_each_task(self):
+        seen = []
+        with cancel_scope() as scope:
+
+            def cancel_after_first(x):
+                seen.append(x)
+                scope.cancel()
+                return x
+
+            with pytest.raises(JobCancelledError):
+                get_transport("inline").run(cancel_after_first, [1, 2, 3])
+        assert seen == [1]
 
     def test_run_is_the_whole_interface(self):
         public = {name for name in vars(Transport) if not name.startswith("_")}

@@ -365,13 +365,16 @@ class TestShadowVerification:
         with pytest.warns(UserWarning, match="malformed"):
             assert guards.shadow_rate() == 0.0
 
-    def test_malformed_tolerance_env_warns(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHADOW_TOL", "tight")
+    def test_tolerance_is_the_capability_default(self):
         ir = ring_ir(3)
         a = SimpleNamespace(pi=np.array([0.5, 0.25, 0.25]))
-        with pytest.warns(RuntimeWarning, match="REPRO_SHADOW_TOL"):
-            info = guards.shadow_compare("steady", "sparse", "gmres", ir, a, a)
-        assert info["shadow_tolerance"] == guards.DEFAULT_SHADOW_TOL["steady"]
+        tol = guards.DEFAULT_SHADOW_TOL["steady"]
+        near = SimpleNamespace(pi=a.pi + [tol / 2, 0.0, 0.0])
+        info = guards.shadow_compare("steady", "sparse", "gmres", ir, a, near)
+        assert info["shadow_tolerance"] == tol
+        far = SimpleNamespace(pi=a.pi + [2 * tol, 0.0, 0.0])
+        with pytest.raises(NumericalTrustError, match="disagrees"):
+            guards.shadow_compare("steady", "sparse", "gmres", ir, a, far)
 
     def test_env_rate_shadows_every_solve(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHADOW_RATE", "1.0")

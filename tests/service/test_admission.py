@@ -5,6 +5,7 @@ import pytest
 from repro.engine.metrics import get_registry
 from repro.errors import JobRejectedError
 from repro.service import AdmissionController, TokenBucket
+from repro.service import admission
 
 
 class TestTokenBucket:
@@ -37,22 +38,15 @@ class TestTokenBucket:
 
 
 def controller(**overrides):
-    defaults = dict(
-        capacity=4,
-        workers=2,
-        tenant_rate=1000.0,
-        tenant_burst=1000.0,
-        shed_threshold=0.75,
-        shed_priority=5,
-        retry_after=2.0,
-    )
+    defaults = dict(capacity=4, workers=2, tenant_rate=1000.0, tenant_burst=1000.0)
     defaults.update(overrides)
     return AdmissionController(**defaults)
 
 
 class TestAdmission:
-    def test_queue_full_is_429_with_retry_after(self):
-        ctrl = controller(capacity=2, shed_priority=99)
+    def test_queue_full_is_429_with_retry_after(self, monkeypatch):
+        monkeypatch.setattr(admission, "SHED_PRIORITY", 99)
+        ctrl = controller(capacity=2)
         ctrl.admit("job-a")
         ctrl.admit("job-b")
         before = get_registry().counter("service.rejected_full")
@@ -73,8 +67,9 @@ class TestAdmission:
         ctrl.admit("job-c", tenant="polite", priority=1)
         assert get_registry().counter("service.throttled.tenant.flooder") >= 1
 
-    def test_overload_sheds_low_priority_only(self):
-        ctrl = controller(capacity=4, shed_threshold=0.5, shed_priority=5)
+    def test_overload_sheds_low_priority_only(self, monkeypatch):
+        monkeypatch.setattr(admission, "SHED_THRESHOLD", 0.5)
+        ctrl = controller(capacity=4)
         ctrl.admit("job-a", priority=0)
         ctrl.admit("job-b", priority=0)  # depth 2/4 -> load 0.5
         before = get_registry().counter("service.shed")
@@ -86,7 +81,7 @@ class TestAdmission:
         ctrl.admit("job-d", priority=0)
 
     def test_worker_saturation_counts_as_load(self):
-        ctrl = controller(capacity=100, workers=1, shed_threshold=0.9)
+        ctrl = controller(capacity=100, workers=1)
         ctrl.admit("job-a", priority=0)
         assert ctrl.take(timeout=1.0) == "job-a"
         assert ctrl.load() == 1.0  # 1 busy / 1 worker despite empty queue
@@ -129,8 +124,6 @@ class TestAdmission:
             AdmissionController(capacity=0)
         with pytest.raises(ValueError):
             AdmissionController(workers=0)
-        with pytest.raises(ValueError):
-            AdmissionController(shed_threshold=1.5)
 
 
 class TestAdmissionFaults:

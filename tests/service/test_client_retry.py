@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+import repro.service.client as client_module
 from repro.errors import ServiceError
 from repro.service import ServiceClient
 
@@ -92,11 +93,14 @@ def flaky():
         server.close()
 
 
-def fast_client(url: str, retries: int = 4) -> ServiceClient:
-    return ServiceClient(
-        url, timeout=5.0, retries=retries, retry_backoff=0.01,
-        retry_backoff_cap=0.05,
-    )
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(client_module, "RETRY_BACKOFF", 0.01)
+    monkeypatch.setattr(client_module, "RETRY_BACKOFF_CAP", 0.05)
+
+
+def fast_client(url: str) -> ServiceClient:
+    return ServiceClient(url, timeout=5.0)
 
 
 def test_get_survives_transient_connection_drops(flaky):
@@ -107,9 +111,10 @@ def test_get_survives_transient_connection_drops(flaky):
     assert server.accepted == 4
 
 
-def test_get_gives_up_after_retry_budget(flaky):
+def test_get_gives_up_after_retry_budget(flaky, monkeypatch):
+    monkeypatch.setattr(client_module, "RETRIES", 2)
     server = flaky(drop_first=100)
-    client = fast_client(server.url, retries=2)
+    client = fast_client(server.url)
     with pytest.raises(ServiceError, match="cannot reach service"):
         client.jobs()
     assert server.accepted == 3  # initial try + 2 retries, then give up
@@ -123,12 +128,13 @@ def test_post_is_never_retried(flaky):
     assert server.accepted == 1  # one attempt, no blind resubmission
 
 
-def test_refused_connection_is_retried_then_reported(flaky):
+def test_refused_connection_is_retried_then_reported(flaky, monkeypatch):
+    monkeypatch.setattr(client_module, "RETRIES", 1)
     # A port with no listener at all: connection refused every time.
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     dead_port = probe.getsockname()[1]
     probe.close()
-    client = fast_client(f"http://127.0.0.1:{dead_port}", retries=1)
+    client = fast_client(f"http://127.0.0.1:{dead_port}")
     with pytest.raises(ServiceError, match="cannot reach service"):
         client.healthz()

@@ -12,6 +12,7 @@ from http.server import ThreadingHTTPServer
 import pytest
 
 from repro.engine.cancellation import current_scope
+import repro.service.admission as admission
 import repro.service.client as client_module
 import repro.service.server as server_module
 from repro.engine.metrics import get_registry
@@ -169,6 +170,15 @@ class TestLifecycle:
             box.client.result(job_id)
 
 
+class TestConfiguration:
+    def test_transport_comes_from_the_engine_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRANSPORT", "remote")
+        assert ServiceConfig.from_env().transport == "remote"
+        assert ServiceConfig.from_env(transport="pool").transport == "pool"
+        monkeypatch.delenv("REPRO_TRANSPORT")
+        assert ServiceConfig.from_env().transport is None
+
+
 class TestCancellation:
     def test_cancel_running_job(self, live):
         executor = FakeExecutor()
@@ -182,10 +192,11 @@ class TestCancellation:
         assert status["status"] == "cancelled"
         assert status["reason"] == "cancelled"
 
-    def test_cancel_queued_job_never_runs(self, live):
+    def test_cancel_queued_job_never_runs(self, live, monkeypatch):
+        monkeypatch.setattr(admission, "SHED_PRIORITY", 99)
         executor = FakeExecutor()
         executor.release.clear()
-        config = ServiceConfig(workers=1, drain_timeout=2.0, shed_priority=99)
+        config = ServiceConfig(workers=1, drain_timeout=2.0)
         box = live(config=config, executor=executor)
         blocker = box.client.submit(make_spec("1.0"))["job_id"]
         executor.started.wait(timeout=5.0)
@@ -215,18 +226,14 @@ class TestCancellation:
 
 
 class TestOverload:
-    def test_flood_degrades_gracefully_and_recovers(self, live):
+    def test_flood_degrades_gracefully_and_recovers(self, live, monkeypatch):
         """The chaos check: flood a tiny service; it must refuse politely,
         never crash, and complete everything it admitted."""
+        monkeypatch.setattr(admission, "SHED_THRESHOLD", 0.7)
+        monkeypatch.setattr(admission, "RETRY_AFTER", 1.5)
         executor = FakeExecutor(delay=0.15)
         config = ServiceConfig(
-            queue_capacity=3,
-            workers=1,
-            tenant_rate=1000.0,
-            tenant_burst=1000.0,
-            shed_threshold=0.7,
-            shed_priority=5,
-            retry_after=1.5,
+            queue_capacity=3, workers=1, tenant_rate=1000.0, tenant_burst=1000.0
         )
         box = live(config=config, executor=executor)
 

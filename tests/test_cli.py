@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_arg_parser, main
 
 PEPA_MODEL = "P = (a, 1.0).Q;\nQ = (b, 3.0).P;\nP\n"
 
@@ -216,6 +216,15 @@ class TestManifestFlags:
             main(["solve", model_file, "--transport", "subprocess"])
         assert excinfo.value.code != 0
         assert "invalid choice: 'subprocess'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--shed-threshold", "--shed-priority"])
+    def test_removed_serve_flags_are_usage_errors(self, tmp_path, flag, capsys):
+        # Parse only: a parser that still accepted the flag would
+        # otherwise start a server that never returns.
+        with pytest.raises(SystemExit) as excinfo:
+            build_arg_parser().parse_args(["serve", "--dir", str(tmp_path), flag, "3"])
+        assert excinfo.value.code != 0
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_replay_transport_flag(self, model_file, tmp_path, capsys):
         out = tmp_path / "run.json"
