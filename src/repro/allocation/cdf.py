@@ -8,7 +8,10 @@ Machines are statistically independent, so :func:`makespan_cdf` fans
 the per-machine solves out through the execution engine — run it under
 ``engine.parallel(workers=...)`` to use a process pool — and repeated
 calls with identical arguments are served from the engine's
-content-addressed cache.  With the cache's disk layer on
+content-addressed cache.  A single machine's curve is not cached as
+such: its passage solve is, by the IR registry under the digest of the
+machine's chain, so it is reused under any mapping that gives the
+machine the same applications.  With the cache's disk layer on
 (``$REPRO_CACHE_DIR``), each finished machine is also a checkpoint
 entry, so an interrupted makespan resumes from the machines it solved.
 """
@@ -57,7 +60,8 @@ class FinishingTime:
         Size of the derived state space (small: 2 availability states
         per machine stage).
     meta:
-        Execution metadata (``cache`` status of the producing call).
+        Execution metadata: the ``cache`` status of the producing call
+        (for :func:`finishing_time_cdf`, of its ``ir.passage`` solve).
     """
 
     mapping_name: str
@@ -104,35 +108,15 @@ def finishing_time_cdf(
         ``"uniformization"`` (default) or ``"expm"``.
     """
     with get_registry().timer("finishing_time_cdf"):
-        result, status = cached(
-            "finishing_cdf",
-            (mapping, machine, workload, times, horizon_means, grid_points, method),
-            lambda: _compute_finishing_time(
-                mapping, machine, workload, times, horizon_means, grid_points, method
-            ),
-        )
-    result.meta["cache"] = status
-    return result
-
-
-def _compute_finishing_time(
-    mapping: Mapping,
-    machine: str,
-    workload: Workload,
-    times: np.ndarray | None,
-    horizon_means: float,
-    grid_points: int,
-    method: str,
-) -> FinishingTime:
-    model = build_machine_model(mapping, machine, workload, absorbing=True)
-    chain = ctmc_of(derive(model))
-    target = (MACHINE_LEAF, DONE_STATE)
-    if times is None:
-        # The passage solution carries the exact mean; solve for it
-        # separately only when it has to set the grid first.
-        mean = passage_time_mean(chain, target)
-        times = np.linspace(0.0, horizon_means * mean, grid_points)
-    result = passage_time_cdf(chain, target, times, method=method)
+        model = build_machine_model(mapping, machine, workload, absorbing=True)
+        chain = ctmc_of(derive(model))
+        target = (MACHINE_LEAF, DONE_STATE)
+        if times is None:
+            # The passage solution carries the exact mean; solve for it
+            # separately only when it has to set the grid first.
+            mean = passage_time_mean(chain, target)
+            times = np.linspace(0.0, horizon_means * mean, grid_points)
+        result = passage_time_cdf(chain, target, times, method=method)
     return FinishingTime(
         mapping_name=mapping.name,
         machine=machine,
@@ -140,6 +124,7 @@ def _compute_finishing_time(
         cdf=result.cdf,
         mean=result.mean,
         n_states=chain.n_states,
+        meta={"cache": result.meta["cache"]},
     )
 
 

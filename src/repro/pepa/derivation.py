@@ -16,7 +16,7 @@ Backends
     The memoized fast path: :func:`repro.pepa.statespace.derive` +
     :func:`repro.pepa.ctmc.ctmc_of` + ``lower()``.  Bit-identical to
     every pre-existing analysis (same state order, same transition
-    table, same seeded SSA streams); caching happens in those layers.
+    table, same seeded SSA streams).
     The un-memoized walk :func:`repro.pepa.statespace.derive_reference`
     is its test oracle and is called directly, not through the registry.
 
@@ -27,8 +27,8 @@ Backends
     *during* the BFS, so the chain is the exact ordinary lumping of the
     explicit one and ``max_states`` bounds the aggregated count.  State
     identity differs from explicit (one state per orbit, count-form
-    labels), so use it for population-level measures.  Registry-cached;
-    carries :class:`repro.ir.markov.OrbitInfo` for the trust layer's
+    labels), so use it for population-level measures.  Carries
+    :class:`repro.ir.markov.OrbitInfo` for the trust layer's
     lumped-derive sentinel.
 
 ``auto``
@@ -211,10 +211,9 @@ def _derive_shadow_compare(model, result, shadow_result) -> float:
 
 
 def _register() -> None:
-    # Neither strategy is registry-cached: the statespace/ctmc layers
-    # (explicit) and ``derive.population`` (population) already serve
-    # them from the content cache, and caching the lowered IR again would
-    # hash the model and store a result twice.
+    # Derivation is not cached: the registry caches the analyses of a
+    # derived chain under its IR digest, and a derived space pickles far
+    # larger than any result keyed on it.
     register_backend(
         "derive",
         "explicit",

@@ -90,9 +90,10 @@ def sweep(
     Notes
     -----
     Rate changes cannot alter reachability in PEPA (rates are strictly
-    positive), but the sweep re-derives per run anyway — derivations
-    repeat across sweeps only when the *same* rate assignment recurs, in
-    which case the engine's content-addressed cache serves them.
+    positive), but the sweep re-derives per run anyway.  When the *same*
+    rate assignment recurs, the registry analyses the measure runs
+    (steady state, passage times) are served from the engine's
+    content-addressed cache under the chain's IR digest.
 
     Each grid point is an independent work unit: under
     ``engine.parallel(workers=...)`` the points run on a process pool

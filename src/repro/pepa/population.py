@@ -338,28 +338,21 @@ def derive_population(model: Model, max_states: int = 1_000_000) -> StateSpace:
     state count — models whose explicit space is astronomically large
     derive fine as long as the quotient fits.
 
-    The result is served through the engine's content cache and carries
-    ``orbit_info`` / ``population_labels`` attributes (see the module
-    docstring).  Timed under ``derive.population``.
+    The result carries ``orbit_info`` / ``population_labels`` attributes
+    (see the module docstring).  Timed under ``derive.population``.
     """
-    from repro.engine.cache import cached
     from repro.engine.metrics import get_registry
 
     registry = get_registry()
     with registry.timer("derive.population") as gauges:
-
-        def compute() -> StateSpace:
-            deriver = _PopulationDeriver(model, max_states)
-            space = deriver.run()
-            registry.increment("derive.memo_hit", deriver.memo_hits)
-            registry.increment("derive.memo_miss", deriver.memo_misses)
-            space.orbit_info = deriver.orbit_info(space.states)
-            space.population_labels = tuple(
-                deriver.population_label(s) for s in space.states
-            )
-            return space
-
-        space, _status = cached("derive.population", (model, max_states), compute)
+        deriver = _PopulationDeriver(model, max_states)
+        space = deriver.run()
+        registry.increment("derive.memo_hit", deriver.memo_hits)
+        registry.increment("derive.memo_miss", deriver.memo_misses)
+        space.orbit_info = deriver.orbit_info(space.states)
+        space.population_labels = tuple(
+            deriver.population_label(s) for s in space.states
+        )
         gauges["n_states"] = space.size
         gauges["full_states"] = min(float(space.orbit_info.full_states), 1e300)
     return space

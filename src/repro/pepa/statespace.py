@@ -761,18 +761,14 @@ class _ReferenceDeriver(_DerivationBase):
 def derive(model: Model, max_states: int = 1_000_000) -> StateSpace:
     """Derive the full reachable state space of a PEPA model.
 
-    Runs the memoized fast path (:class:`_Deriver`).  Results are served
-    through the engine's content-addressed cache: deriving the same
-    model (structurally, not by object identity) with the same
-    ``max_states`` returns a cached copy.  Every call is timed in the
-    ``derive`` metrics entry with ``n_states``/``n_transitions`` gauges,
-    and memo-table effectiveness is counted under ``derive.memo_hit`` /
-    ``derive.memo_miss``.
+    Runs the memoized fast path (:class:`_Deriver`).  Every call is
+    timed in the ``derive`` metrics entry with
+    ``n_states``/``n_transitions`` gauges, and memo-table effectiveness
+    is counted under ``derive.memo_hit`` / ``derive.memo_miss``.
 
     A derivation that exceeds ``max_states`` raises
     :class:`repro.errors.StateSpaceLimitError` carrying the reached
-    state/transition counts; the exception propagates *uncached*, so no
-    partially-derived space can escape, via the cache or otherwise.
+    state/transition counts, so no partially-derived space can escape.
 
     Parameters
     ----------
@@ -783,20 +779,14 @@ def derive(model: Model, max_states: int = 1_000_000) -> StateSpace:
         raises :class:`repro.errors.StateSpaceLimitError` rather than
         exhausting memory.
     """
-    from repro.engine.cache import cached
     from repro.engine.metrics import get_registry
 
     registry = get_registry()
     with registry.timer("derive") as gauges:
-
-        def compute() -> StateSpace:
-            deriver = _Deriver(model, max_states)
-            space = deriver.run()
-            registry.increment("derive.memo_hit", deriver.memo_hits)
-            registry.increment("derive.memo_miss", deriver.memo_misses)
-            return space
-
-        space, _status = cached("derive", (model, max_states), compute)
+        deriver = _Deriver(model, max_states)
+        space = deriver.run()
+        registry.increment("derive.memo_hit", deriver.memo_hits)
+        registry.increment("derive.memo_miss", deriver.memo_misses)
         gauges["n_states"] = space.size
         gauges["n_transitions"] = space.n_transitions
     return space
@@ -807,9 +797,8 @@ def derive_reference(model: Model, max_states: int = 1_000_000) -> StateSpace:
 
     Semantically identical to :func:`derive` — same state ordering, same
     transition sequence — but recomputes every structure node per state.
-    Never cached; timed under ``derive.naive``.  Exists as the oracle
-    for the fast path's property tests and benchmarks, and as the
-    ``naive`` backend of the IR registry's ``derive`` capability.
+    Timed under ``derive.naive``.  Exists as the oracle for the fast
+    path's property tests and benchmarks, which call it directly.
     """
     from repro.engine.metrics import get_registry
 

@@ -95,7 +95,6 @@ class TestAutoOrdering:
         "name", list(MODEL_NAMES) + ["table1_machine"]
     )
     def test_matches_selected(self, name):
-        from repro.engine import cache_disabled
         from repro.ir import solve
         from repro.pepa.derivation import select_derive_backend
 
@@ -103,11 +102,8 @@ class TestAutoOrdering:
             table1_machine_model() if name == "table1_machine"
             else get_model(name)
         )
-        with cache_disabled():
-            auto = solve(model, "derive", backend="auto")
-            chosen = solve(
-                model, "derive", backend=select_derive_backend(model)
-            )
+        auto = solve(model, "derive", backend="auto")
+        chosen = solve(model, "derive", backend=select_derive_backend(model))
         for a, b in (
             (auto.generator.indptr, chosen.generator.indptr),
             (auto.generator.indices, chosen.generator.indices),

@@ -226,7 +226,6 @@ class TestRegistry:
         assert select_derive_backend(model) == "explicit"
 
     def test_population_falls_back_to_explicit(self):
-        from repro.engine import cache_disabled
         from repro.engine.faults import FaultSpec, inject
         from repro.engine.metrics import get_registry
         from repro.ir import solve
@@ -235,9 +234,7 @@ class TestRegistry:
         # violation) walks the chain population -> explicit.
         reg = get_registry()
         before = reg.counter("ir.fallback.derive.population->explicit")
-        with cache_disabled(), inject(
-            FaultSpec("sentinel_violation", backend="population")
-        ):
+        with inject(FaultSpec("sentinel_violation", backend="population")):
             ir = solve(pc_lan(8), "derive", backend="population")
         assert ir.n_states == 256
         assert ir.orbits is None
@@ -262,22 +259,38 @@ class TestRegistry:
         # was walked (and exhausted) rather than skipped.
         assert reg.counter("ir.fallback.exhausted") == exhausted + 1
 
-    def test_population_derive_is_cached_once(self):
-        from repro.engine import cache_override, get_cache
-        from repro.engine.metrics import get_registry
-        from repro.ir import solve
+    def test_repeat_solve_is_served_by_the_registry_not_derive(
+        self, monkeypatch
+    ):
+        """The analysis is cached under its IR digest; the derived space
+        is an input, hashed and pickled by nobody."""
+        from repro.engine import cache, cache_override, get_cache
+        from repro.ir import registry
+        from repro.manifest import run_from_source
 
-        reg = get_registry()
-        model = pc_lan(4)
+        seen = []
+        real = cache.canonical_key
+
+        def spy(namespace, *parts):
+            seen.append(namespace)
+            return real(namespace, *parts)
+
+        monkeypatch.setattr(cache, "canonical_key", spy)
+        monkeypatch.setattr(registry, "canonical_key", spy)
+        source = PC_LAN.format(n=4)
         with cache_override(True):
             get_cache().clear()
-            misses, hits = reg.counter("cache.miss"), reg.counter("cache.hit")
-            solve(model, "derive", backend="population")
-            assert reg.counter("cache.miss") == misses + 1
-            assert reg.counter("cache.hit") == hits
-            solve(model, "derive", backend="population")
-            assert reg.counter("cache.miss") == misses + 1
-            assert reg.counter("cache.hit") == hits + 1
+            first = run_from_source(
+                "pepa", source, "steady", derive_backend="population"
+            )
+            again = run_from_source(
+                "pepa", source, "steady", derive_backend="population"
+            )
+        assert first.meta["cache"] == "miss"
+        assert again.meta["cache"] == "hit"
+        np.testing.assert_array_equal(first.pi, again.pi)
+        assert "ir.steady" in seen
+        assert not {"derive", "derive.population", "finishing_cdf"} & set(seen)
 
 
 class TestTrustSentinels:

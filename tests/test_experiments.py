@@ -13,6 +13,7 @@ from repro.experiments import (
     fig4_cdf_mapping_b,
     fig5_gpepa_scalability,
     fig6_hub_collection,
+    overhead_experiment,
     run_experiment,
     table1,
 )
@@ -88,6 +89,16 @@ class TestSupplementary:
         result = optimization_experiment()
         assert result.data["greedy"] < result.data["A"]
         assert result.data["greedy"] < result.data["B"]
+
+    def test_overhead_times_solves_not_cache_hits(self):
+        from repro.engine import cache_override, get_registry
+
+        reg = get_registry()
+        with cache_override(True):
+            hits = reg.counter("cache.hit")
+            result = overhead_experiment(repetitions=2)
+            assert reg.counter("cache.hit") == hits
+        assert result.data["native_s"] > 0 and result.data["container_s"] > 0
 
 
 class TestDispatch:
