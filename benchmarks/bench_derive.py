@@ -1,15 +1,16 @@
 """Derivation fast path vs naive reference — speedup gate and report.
 
 Runs both derivation strategies (best-of-``--repeat``) on the bundled
-Edinburgh models, scaled PC-LAN instances and the largest Table I
-machine model, asserts bit-identical results, and writes
+Edinburgh models, scaled PC-LAN instances, the request benchmark's three
+1024-state LAN patterns and the largest Table I machine model, asserts
+bit-identical results, and writes
 ``BENCH_derive.json``: per-model wall times, states/second, the
 CSR-assembly share, and the fast-path/naive speedup ratio.
 
 As a script it is the CI regression gate::
 
     PYTHONPATH=src python benchmarks/bench_derive.py \
-        --repeat 7 --output BENCH_derive.json --gate 2.0
+        --repeat 7 --output BENCH_derive.json --gate 7.0
 
 Exit 1 when the speedup on the largest model falls below ``--gate``.
 Under pytest only the (gate-free) consistency smoke runs, so the tier-1
@@ -52,6 +53,22 @@ Medium2 = (send, mu).Medium2;
 (PC[{n}] <send> Medium1) || (PC[{n}] <send> Medium2)
 """
 
+# The request benchmark's 1024-state LAN family (``steady_lan1k``): one
+# medium per segment, segments interleaved.  ``(10,)`` misses the root
+# cooperation's memo on every state, ``(5, 5)`` and ``(4, 6)`` interleave
+# two memoized segments.
+LAN_PATTERNS = ((10,), (5, 5), (4, 6))
+
+
+def lan_source(segments) -> str:
+    lines = ["lam = 0.4;\nPC      = (think, lam).PCready;\n"
+             "PCready = (send, infty).PC;\n"]
+    parts = []
+    for k, pcs in enumerate(segments, start=1):
+        lines.append(f"mu{k} = {2.0 + 1.5 * k!r};\nMedium{k} = (send, mu{k}).Medium{k};\n")
+        parts.append(f"(PC[{pcs}] <send> Medium{k})")
+    return "".join(lines) + " || ".join(parts) + "\n"
+
 
 def bench_cases():
     """(name, model) pairs, ordered small to large; the last one gates."""
@@ -65,6 +82,9 @@ def bench_cases():
         ))
     )
     cases.append(("pc_lan_8", parse_model(PC_LAN_SOURCE.format(n=8))))
+    for segments in LAN_PATTERNS:
+        name = "lan_" + "x".join(map(str, segments))
+        cases.append((name, parse_model(lan_source(segments))))
     cases.append(("pc_lan_12", parse_model(PC_LAN_SOURCE.format(n=12))))
     cases.append(("pc_lan_2x7", parse_model(PC_LAN_2SEG_SOURCE.format(n=7))))
     return cases

@@ -83,6 +83,7 @@ __all__ = [
     "available_backends",
     "default_backend",
     "solve",
+    "solve_step",
 ]
 
 CAPABILITIES = ("derive", "steady", "transient", "passage", "ssa", "ode")
@@ -363,6 +364,33 @@ def solve(ir, capability: str, backend: str | None = None, fallback: bool = True
     ``backend``); without it, ``$REPRO_SHADOW_RATE`` shadow-verifies a
     deterministic sample of requests.
     """
+    result, be, used, attempted, first_error = _dispatch(
+        ir, capability, backend, fallback, shadow, params
+    )
+    _attach_solve_manifest(
+        capability, be, used, attempted, first_error, ir, params, result,
+    )
+    return result
+
+
+def solve_step(ir, capability: str, backend: str | None = None, **params):
+    """:func:`solve` without the manifest, for a dispatch that is one
+    step of a larger request: returns ``(result, used)``, the result and
+    the name of the backend that produced it (after any fallback).
+
+    The request's own manifest records what it needs of this step (the
+    derive backend that ran, in ``lower_and_resolve``), so building and
+    hashing a second manifest here would only repeat work.
+    """
+    result, _be, used, _attempted, _error = _dispatch(
+        ir, capability, backend, True, None, params
+    )
+    return result, used.name
+
+
+def _dispatch(ir, capability, backend, fallback, shadow, params):
+    """Select, run, fall back and shadow-check; returns ``(result,
+    requested, used, attempted, first_error)``."""
     be = get_backend(capability, backend)
     if shadow is not None:
         get_backend(capability, shadow)
@@ -394,11 +422,7 @@ def solve(ir, capability: str, backend: str | None = None, fallback: bool = True
                 meta["fallback_from"] = be.name
                 meta["fallback_error"] = str(first_error)
         _maybe_shadow(capability, candidate, ir, result, params, shadow)
-        _attach_solve_manifest(
-            capability, be, candidate, attempted, first_error,
-            ir, params, result,
-        )
-        return result
+        return result, be, candidate, attempted, first_error
     if len(candidates) > 1:
         reg.increment("ir.fallback.exhausted")
     raise first_error

@@ -116,16 +116,15 @@ def lower_and_resolve(
 
         model = parse_model(source)
         if derive_backend is not None:
-            from repro.ir import solve as ir_solve
+            from repro.ir.registry import solve_step
             from repro.pepa.derivation import resolve_derive_backend
 
-            ir = ir_solve(
+            # Name the strategy that ran: a population derivation that
+            # fell back to explicit yields the explicit chain.
+            ir, derive_backend = solve_step(
                 model, "derive",
                 backend=resolve_derive_backend(model, derive_backend),
             )
-            # Name the strategy that ran: a population derivation that
-            # fell back to explicit yields the explicit chain.
-            derive_backend = last_manifest().backend["used"]
             labels = ir.labels or tuple(
                 str(i) for i in range(ir.n_states)
             )

@@ -11,21 +11,27 @@ therefore proceeds in two phases:
    D3: interning keeps states tiny and hashable) — applying the SOS
    rules of :mod:`repro.pepa.semantics` at each node.
 
-The sweep is the hot path of every analysis in the repository, so it is
-memoized compositionally: each structure node's transition set depends
-only on the *sub-state* under that node (the projection of the global
-state onto its leaves), and replicated-component models revisit the
-same sub-states constantly.  :class:`_Deriver` keys a per-node memo
-table on that projection and accumulates transitions straight into flat
-``numpy`` arrays, from which the CTMC layer assembles its CSR generator
-without ever materializing :class:`Transition` objects.
+The sweep is the hot path of every analysis in the repository.
+:class:`_Deriver` encodes a global state as one mixed-radix integer
+(leaf ``k``'s local index times a fixed stride), memoizes each structure
+node's transitions on the node's own digit slice of that code, and
+stores with every transition the change it makes to the code.  It then
+expands one BFS level at a time: the frontier's transition lists are
+concatenated, destination codes are the source codes plus those
+deltas, and new states are numbered by first appearance.  That is the
+order a one-transition-at-a-time FIFO walk discovers states in, so the
+result is bit-identical to it.  Transitions land in flat ``numpy``
+arrays, from which the CTMC layer assembles its CSR generator without
+ever materializing :class:`Transition` objects.
 
 :func:`derive_reference` retains the naive single-walk derivation as an
 oracle: same SOS rules, no memo, ``Transition`` objects throughout.
 The fast path is property-tested and benchmarked against it
 (``tests/pepa/test_derivation_fastpath.py``,
-``benchmarks/bench_derive.py``) and produces bit-identical state
-orderings, generators and seeded SSA streams.
+``tests/pepa/test_random_models.py``, ``benchmarks/bench_derive.py``),
+and ``tests/pepa/test_derive_pinned.py`` pins the bits of a corpus of
+derivations, so state orderings, generators and seeded SSA streams
+cannot drift.
 
 The result is a :class:`StateSpace`: states, labelled transitions, leaf
 metadata, and convenience queries used by the reward and passage-time
@@ -36,7 +42,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain, count
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -55,10 +62,12 @@ from repro.pepa.semantics import (
     rate_sum,
 )
 from repro.pepa.syntax import (
+    Choice,
     Constant,
     Cooperation,
     Hiding,
     Model,
+    Prefix,
     ProcessTerm,
     expand_aggregations,
     unparse,
@@ -447,51 +456,119 @@ class _DerivationBase:
         )
 
 
-def _grow(arr: np.ndarray, capacity: int) -> np.ndarray:
-    out = np.empty(capacity, dtype=arr.dtype)
-    out[: arr.size] = arr
-    return out
+#: Column getters of a transition entry ``(action, value, is_passive, delta)``.
+_ACTION, _VALUE, _PASSIVE = (itemgetter(i) for i in range(3))
 
 
 class _Deriver(_DerivationBase):
-    """Memoized compositional derivation with flat-array accumulation.
+    """Memoized compositional derivation, swept one BFS level at a time.
 
-    The structure tree is numbered post-order into parallel lists so the
-    recursion works on integer node ids.  Each node's memo table maps
-    the sub-state signature — the projection of the global state onto
-    the leaves under that node, extracted with a precompiled
-    ``itemgetter`` — to the node's transition tuple.  Replicated
-    components make these projections collide constantly, turning the
-    recursive SOS walk into dictionary lookups.
+    **State code.**  Leaf ``k`` gets a radix ``R[k]``, an upper bound on
+    its local derivatives (:meth:`_radix`), so every interned index it
+    can take is below ``R[k]``.  A global state is the mixed-radix integer
+    ``sum(state[k] * S[k])`` with ``S[0] = 1`` and
+    ``S[k + 1] = S[k] * R[k]``.  Codes are Python ints, so a model whose
+    code space exceeds 64 bits (a population model with a hundred
+    replicas) runs the same sweep; only the final decode to tuples
+    switches the array dtype from ``int64`` to ``object``.
 
-    On this path rates travel as plain ``(value, is_passive)`` floats
-    rather than :class:`~repro.pepa.semantics.Rate` objects: the
-    cooperation arithmetic below replicates ``rate_sum`` / ``rate_min``
-    / ``cooperation_rate`` operation-for-operation (same associativity,
-    same operand order), so the resulting float rates are bit-identical
-    to the reference walk while skipping the dataclass allocations that
-    dominate its profile.
+    **Memo.**  The structure tree is numbered post-order; every node
+    covers a contiguous leaf range ``[lo, hi)``, so its sub-state is the
+    digit slice ``code // S[lo] % (S[hi] // S[lo])``.  Each node's memo
+    maps that sub-state code to the node's transition tuple, entries
+    ``(action, value, is_passive, delta)``: ``delta`` is the change of
+    the global code, ``(target - local) * S[k]`` at leaf ``k`` and the
+    sum of both sides' deltas at a synchronization.  It depends only on
+    the node's own sub-state, which is what lets the entry be shared by
+    every global state that projects onto it.  Replicated components
+    make the projections collide constantly, turning the recursive SOS
+    walk into dictionary lookups.
+
+    **Level sweep.**  :meth:`run` expands the whole frontier (the states
+    discovered by the previous level) at once: it looks up each state's
+    root entry, adds each source code to its entries' deltas to get the
+    level's destination codes, and numbers them in one pass through a
+    :class:`_Numbering`, which numbers a code it has not seen on first
+    lookup.  Expanding states in level order and numbering by first
+    appearance is the order in which a FIFO walk expanding one
+    transition at a time discovers states, so states, transitions and
+    action coding equal :func:`derive_reference` bit for bit.  No state
+    tuple is built or hashed during the sweep: states are decoded from
+    their codes once, at the end, and the rates and actions are read
+    off the concatenated entries in one pass each.
+
+    **Canonicalization.**  When ``_canonical`` is set (the population
+    deriver), each level's distinct raw destination codes are decoded,
+    mapped to their orbit representatives and re-encoded once; the
+    level is then numbered by first appearance of the canonical code,
+    which is the state a per-transition walk would number.
+
+    Rates travel as plain ``(value, is_passive)`` floats rather than
+    :class:`~repro.pepa.semantics.Rate` objects: the cooperation
+    arithmetic replicates ``rate_sum`` / ``rate_min`` /
+    ``cooperation_rate`` operation-for-operation (same associativity,
+    same operand order), so the float rates are bit-identical to the
+    reference walk while skipping its dataclass allocations.
     """
 
     def __init__(self, model: Model, max_states: int):
         super().__init__(model, max_states)
+        radices: dict[int, int] = {}
+        strides = [1]
+        for leaf in self.leaves:
+            # Replicas of one aggregation share their initial term object.
+            radix = radices.get(id(leaf.initial))
+            if radix is None:
+                radix = radices[id(leaf.initial)] = self._radix(leaf.initial)
+            strides.append(strides[-1] * radix)
+        self._strides = strides
         self._nodes: list = []
         self._kids: list[tuple[int, ...]] = []
         self._leafsets: list[tuple[int, ...]] = []
-        self._getters: list = []
+        self._slices: list[tuple[int, int]] = []
         self._memos: list[dict] = []
         self.root = self._number(self.structure)
         self.memo_hits = 0
         self.memo_misses = 0
-        # (leaf, local_idx) -> tuple[(action, value, is_passive, updates)]
-        self._fast_local_cache: dict[tuple[int, int], tuple] = {}
         # Optional state canonicalization hook: a callable mapping a
         # global state tuple to the representative of its symmetry
-        # orbit.  When set (the population-form deriver), the BFS
-        # frontier only ever contains one state per orbit; None (the
-        # explicit path) leaves the sweep bit-identical to the
-        # reference walk.
+        # orbit.  When set (the population-form deriver), the frontier
+        # only ever contains one state per orbit; None (the explicit
+        # path) leaves the sweep bit-identical to the reference walk.
         self._canonical = None
+
+    def _radix(self, initial: ProcessTerm) -> int:
+        """An upper bound on the number of local derivatives of a leaf.
+
+        A derivative is the initial term or the continuation of a prefix
+        reachable from it through choices, constant bodies and earlier
+        continuations.  Counting them syntactically (constants by name,
+        other continuations by identity) needs no SOS and no term
+        hashing, and is exact unless two prefixes continue with equal
+        anonymous terms.  A term the semantics would reject still counts
+        once; the sweep raises for it if and when it reaches it, as the
+        reference walk does.
+        """
+        process_body = self.model.process_body
+        derivatives = {initial.name if isinstance(initial, Constant) else id(initial)}
+        unfolded: set[str] = set()
+        stack = [initial]
+        while stack:
+            term = stack.pop()
+            if isinstance(term, Prefix):
+                nxt = term.continuation
+                key = nxt.name if isinstance(nxt, Constant) else id(nxt)
+                if key not in derivatives:
+                    derivatives.add(key)
+                    stack.append(nxt)
+            elif isinstance(term, Choice):
+                stack += (term.left, term.right)
+            elif isinstance(term, Constant) and term.name not in unfolded:
+                unfolded.add(term.name)
+                body = process_body(term.name)
+                if body is not None:
+                    stack.append(body)
+        return len(derivatives)
 
     def _number(self, node) -> int:
         if isinstance(node, Leaf):
@@ -509,27 +586,21 @@ class _Deriver(_DerivationBase):
         self._nodes.append(node)
         self._kids.append(kids)
         self._leafsets.append(leafset)
-        # itemgetter with one index returns the bare element — a cheaper
-        # memo key than a 1-tuple, and still unique per sub-state.
-        self._getters.append(itemgetter(*leafset))
+        # Leaves are numbered left to right, so a leafset is a range.
+        lo, hi = leafset[0], leafset[-1] + 1
+        self._slices.append((self._strides[lo], self._strides[hi] // self._strides[lo]))
         self._memos.append({})
         return nid
 
-    def _fast_local(self, leaf: int, local_idx: int):
-        key = (leaf, local_idx)
-        cached = self._fast_local_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                (
-                    action,
-                    rate.weight if rate.is_passive else rate.value,
-                    rate.is_passive,
-                    ((leaf, tgt),),
-                )
-                for action, rate, tgt in self._local_transitions(leaf, local_idx)
-            )
-            self._fast_local_cache[key] = cached
-        return cached
+    def _encode(self, state: tuple[int, ...]) -> int:
+        return sum(map(mul, state, self._strides))
+
+    def _decode(self, codes: list[int]) -> list[tuple[int, ...]]:
+        """State tuples of ``codes``, one vectorized digit extraction."""
+        dtype = np.int64 if self._strides[-1] < 2**63 else object
+        strides = np.array(self._strides, dtype=dtype)[:, None]
+        digits = np.array(codes, dtype=dtype) // strides[:-1] % (strides[1:] // strides[:-1])
+        return list(zip(*digits.tolist()))
 
     @staticmethod
     def _apparent_fast(action: str, entries: list) -> tuple[float, bool]:
@@ -554,54 +625,53 @@ class _Deriver(_DerivationBase):
         right, then shared actions in the left side's enablement order)
         and the same multiplication order as ``cooperation_rate``, so
         rates and orderings are bit-identical to the reference walk.
+        The two sides move disjoint leaves, so a synchronized
+        transition's code delta is the sum of theirs.
         """
         out = []
-        for entry in lt:
-            if entry[0] not in shared:
-                out.append(entry)
-        for entry in rt:
-            if entry[0] not in shared:
-                out.append(entry)
-        if shared:
-            lshared: dict[str, list] = {}
-            rshared: dict[str, list] = {}
-            for entry in lt:
+        lshared: dict[str, list] = {}
+        rshared: dict[str, list] = {}
+        for side, groups in ((lt, lshared), (rt, rshared)):
+            for entry in side:
                 if entry[0] in shared:
-                    lshared.setdefault(entry[0], []).append(entry)
-            for entry in rt:
-                if entry[0] in shared:
-                    rshared.setdefault(entry[0], []).append(entry)
-            for action, lefts in lshared.items():
-                rights = rshared.get(action)
-                if rights is None:
-                    continue
-                va_l, pa_l = cls._apparent_fast(action, lefts)
-                va_r, pa_r = cls._apparent_fast(action, rights)
-                if pa_l and pa_r:
-                    shared_min, passive = min(va_l, va_r), True
-                elif pa_l:
-                    shared_min, passive = va_r, False
-                elif pa_r:
-                    shared_min, passive = va_l, False
+                    group = groups.get(entry[0])
+                    if group is None:
+                        groups[entry[0]] = [entry]
+                    else:
+                        group.append(entry)
                 else:
-                    shared_min, passive = min(va_l, va_r), False
-                for _a1, v1, _p1, u1 in lefts:
-                    f1 = v1 / va_l
-                    for _a2, v2, _p2, u2 in rights:
-                        rate = f1 * (v2 / va_r) * shared_min
-                        out.append((action, rate, passive, u1 + u2))
+                    out.append(entry)
+        for action, lefts in lshared.items():
+            rights = rshared.get(action)
+            if rights is None:
+                continue
+            va_l, pa_l = cls._apparent_fast(action, lefts)
+            va_r, pa_r = cls._apparent_fast(action, rights)
+            if pa_l and pa_r:
+                shared_min, passive = min(va_l, va_r), True
+            elif pa_l:
+                shared_min, passive = va_r, False
+            elif pa_r:
+                shared_min, passive = va_l, False
+            else:
+                shared_min, passive = min(va_l, va_r), False
+            for _a1, v1, _p1, d1 in lefts:
+                f1 = v1 / va_l
+                for _a2, v2, _p2, d2 in rights:
+                    rate = f1 * (v2 / va_r) * shared_min
+                    out.append((action, rate, passive, d1 + d2))
         return out
 
-    def _node_transitions(self, nid: int, state: tuple[int, ...]):
-        """Transitions of a structure subtree in a given global state.
+    def _node_transitions(self, nid: int, code: int):
+        """Transitions of a structure subtree in the state ``code``.
 
-        Returns a tuple of ``(action, value, is_passive, updates)``
-        where ``value`` is the float rate (or passive weight) and
-        ``updates`` is a tuple of ``(leaf_index, new_local_index)``
-        pairs.
+        Returns a tuple of ``(action, value, is_passive, delta)`` where
+        ``value`` is the float rate (or passive weight) and ``delta``
+        the change of the global state code.
         """
+        low, width = self._slices[nid]
+        key = code // low % width
         memo = self._memos[nid]
-        key = self._getters[nid](state)
         result = memo.get(key)
         if result is not None:
             self.memo_hits += 1
@@ -609,17 +679,25 @@ class _Deriver(_DerivationBase):
         self.memo_misses += 1
         node = self._nodes[nid]
         if isinstance(node, Leaf):
-            result = self._fast_local(node.index, state[node.index])
+            result = tuple(
+                (
+                    action,
+                    rate.weight if rate.is_passive else rate.value,
+                    rate.is_passive,
+                    (target - key) * low,
+                )
+                for action, rate, target in self._local_transitions(node.index, key)
+            )
         elif isinstance(node, _HideNode):
-            inner = self._node_transitions(self._kids[nid][0], state)
+            inner = self._node_transitions(self._kids[nid][0], code)
             hidden = node.actions
             result = tuple(
-                (TAU if action in hidden else action, value, passive, upd)
-                for action, value, passive, upd in inner
+                (TAU if action in hidden else action, value, passive, delta)
+                for action, value, passive, delta in inner
             )
         else:
-            lt = self._node_transitions(self._kids[nid][0], state)
-            rt = self._node_transitions(self._kids[nid][1], state)
+            lt = self._node_transitions(self._kids[nid][0], code)
+            rt = self._node_transitions(self._kids[nid][1], code)
             shared = node.actions
             if not shared:
                 # Pure interleaving (e.g. `||` and expanded replica
@@ -631,73 +709,109 @@ class _Deriver(_DerivationBase):
         memo[key] = result
         return result
 
+    def _canonical_codes(self, raw: list[int], seen: dict[int, int]) -> list[int]:
+        """Map raw destination codes to orbit representatives' codes,
+        canonicalizing each distinct code once (``seen`` persists across
+        levels)."""
+        fresh = [c for c in dict.fromkeys(raw) if c not in seen]
+        if fresh:
+            canon = map(self._canonical, self._decode(fresh))
+            seen.update(zip(fresh, map(self._encode, canon)))
+        return list(map(seen.__getitem__, raw))
+
     def run(self) -> StateSpace:
         canon = self._canonical
-        initial = self.initial if canon is None else canon(self.initial)
-        states: list[tuple[int, ...]] = [initial]
-        index: dict[tuple[int, ...], int] = {initial: 0}
-        queue: deque[int] = deque([0])
-        capacity = 256
-        src = np.empty(capacity, dtype=np.intp)
-        dst = np.empty(capacity, dtype=np.intp)
-        rates = np.empty(capacity, dtype=np.float64)
-        acts = np.empty(capacity, dtype=np.intp)
-        m = 0
-        action_codes: dict[str, int] = {}
-        action_names: list[str] = []
-        node_transitions = self._node_transitions
+        initial = self._encode(self.initial if canon is None else canon(self.initial))
+        index = _Numbering([initial], self.max_states)
+        codes = index.codes
+        canonical_of: dict[int, int] = {}
+        counts: list[int] = []  # transitions per expanded state
+        targets: list[int] = []
+        expanded: list[tuple] = []  # root entries, in expansion order
+        expand = self._node_transitions
         root = self.root
-        max_states = self.max_states
-        while queue:
-            s = queue.popleft()
-            state = states[s]
-            for action, value, passive, updates in node_transitions(root, state):
-                if passive:
-                    raise self._top_level_passive_error(action)
-                if len(updates) == 1:
-                    leaf_idx, local_idx = updates[0]
-                    key = state[:leaf_idx] + (local_idx,) + state[leaf_idx + 1:]
-                else:
-                    new_state = list(state)
-                    for leaf_idx, local_idx in updates:
-                        new_state[leaf_idx] = local_idx
-                    key = tuple(new_state)
-                if canon is not None:
-                    key = canon(key)
-                d = index.get(key)
-                if d is None:
-                    d = len(states)
-                    if d >= max_states:
-                        raise self._limit_error(len(states), m)
-                    index[key] = d
-                    states.append(key)
-                    queue.append(d)
-                code = action_codes.get(action)
-                if code is None:
-                    code = action_codes[action] = len(action_names)
-                    action_names.append(action)
-                if m == capacity:
-                    capacity *= 2
-                    src = _grow(src, capacity)
-                    dst = _grow(dst, capacity)
-                    rates = _grow(rates, capacity)
-                    acts = _grow(acts, capacity)
-                src[m] = s
-                dst[m] = d
-                rates[m] = value
-                acts[m] = code
-                m += 1
+        done = 0
+        while done < len(codes):
+            frontier = codes[done:]
+            done = len(codes)
+            entries = []
+            try:
+                for code in frontier:
+                    entries.append(expand(root, code))
+            except Exception:
+                # A per-state walk would first have met whatever the
+                # states before this one raise; settle those, then this.
+                self._number_level(index, targets, frontier, entries, canonical_of)
+                raise
+            self._number_level(index, targets, frontier, entries, canonical_of)
+            counts += map(len, entries)
+            expanded += entries
+        transitions = list(chain.from_iterable(expanded))
+        actions = list(map(_ACTION, transitions))
+        names = tuple(dict.fromkeys(actions))
+        code_of = {name: i for i, name in enumerate(names)}
+        m = len(transitions)
         return StateSpace(
             model=self.model,
-            states=states,
+            states=self._decode(codes),
             leaves=self.leaves,
             local_terms=self.local_terms,
-            trans_source=src[:m].copy(),
-            trans_target=dst[:m].copy(),
-            trans_rate=rates[:m].copy(),
-            trans_action_code=acts[:m].copy(),
-            action_names=tuple(action_names),
+            trans_source=np.repeat(np.arange(len(counts), dtype=np.intp), counts),
+            trans_target=np.array(targets, dtype=np.intp),
+            trans_rate=np.fromiter(map(_VALUE, transitions), np.float64, m),
+            trans_action_code=np.fromiter(map(code_of.__getitem__, actions), np.intp, m),
+            action_names=names,
         )
+
+    def _number_level(self, index, targets, frontier, entries, canonical_of) -> None:
+        """Number the destinations of ``entries`` (the root entries of
+        ``frontier``, or of a prefix of it) onto ``targets``, and raise
+        what a walk that expands one transition at a time raises first:
+        a passive top-level activity, or the state past ``max_states``."""
+        n_transitions = len(targets)
+        dst = [code + delta for code, entry in zip(frontier, entries)
+               for _a, _v, _p, delta in entry]
+        if self._canonical is not None:
+            dst = self._canonical_codes(dst, canonical_of)
+        try:
+            # Numbers unseen codes in order of first appearance.
+            targets += map(index.__getitem__, dst)
+        except _LimitReached as limit:
+            over = dst.index(limit.code)
+            self._raise_first_passive(list(chain.from_iterable(entries))[: over + 1])
+            raise self._limit_error(len(index), n_transitions + over) from None
+        if any(map(_PASSIVE, chain.from_iterable(entries))):
+            self._raise_first_passive(chain.from_iterable(entries))
+
+    def _raise_first_passive(self, transitions) -> None:
+        for action, _value, passive, _delta in transitions:
+            if passive:
+                raise self._top_level_passive_error(action)
+
+
+class _LimitReached(Exception):
+    def __init__(self, code: int):
+        self.code = code
+
+
+class _Numbering(dict):
+    """State code -> state number.  Looking up a code not seen before
+    numbers it next and appends it to ``codes``, so a pass over a level's
+    destinations numbers new states by first appearance; past ``limit``
+    states it raises :class:`_LimitReached` instead."""
+
+    def __init__(self, codes: list[int], limit: int):
+        super().__init__(zip(codes, count()))
+        self.codes = codes
+        self.limit = limit
+
+    def __missing__(self, code: int) -> int:
+        number = len(self.codes)
+        if number >= self.limit:
+            raise _LimitReached(code)
+        self[code] = number
+        self.codes.append(code)
+        return number
 
 
 class _ReferenceDeriver(_DerivationBase):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.errors import DeadlockError, StateSpaceLimitError
+from repro.errors import DeadlockError, IllFormedModelError, StateSpaceLimitError
 from repro.pepa import (
     ctmc_of,
     derive,
@@ -17,6 +17,7 @@ from repro.pepa import (
     parse_model,
 )
 from repro.pepa.models import MODEL_NAMES, get_model
+from tests.pepa.test_derive_pinned import LAN_PATTERNS, lan_source
 
 
 def table1_machine_model():
@@ -39,10 +40,18 @@ def pc_lan(n: int):
     )
 
 
+def lan_model(segments):
+    """The request benchmark's 1024-state LAN family (one medium per
+    segment, segments interleaved)."""
+    return parse_model(lan_source(segments))
+
+
 def all_property_models():
     cases = [(name, get_model(name)) for name in MODEL_NAMES]
     cases.append(("table1_machine", table1_machine_model()))
     cases.append(("pc_lan_8", pc_lan(8)))
+    for segments in LAN_PATTERNS:
+        cases.append(("lan" + "x".join(map(str, segments)), lan_model(segments)))
     return cases
 
 
@@ -196,6 +205,46 @@ class TestLimitError:
     def test_message_reports_progress(self):
         with pytest.raises(StateSpaceLimitError, match=r"\d+ states and \d+ transitions"):
             derive(pc_lan(8), max_states=10)
+
+    @pytest.mark.parametrize(
+        "model,max_states",
+        [(pc_lan(8), 10), (pc_lan(8), 100), (pc_lan(8), 255),
+         (lan_model((4, 6)), 700)],
+        ids=["pc_lan_8-10", "pc_lan_8-100", "pc_lan_8-255", "lan4x6-700"],
+    )
+    def test_same_counts_as_reference_walk(self, model, max_states):
+        # The level sweep checks a whole level at once, but must stop at
+        # the transition a one-at-a-time walk stops at.
+        with pytest.raises(StateSpaceLimitError) as ref:
+            derive_reference(model, max_states=max_states)
+        with pytest.raises(StateSpaceLimitError) as fast:
+            derive(model, max_states=max_states)
+        assert str(fast.value) == str(ref.value)
+
+    def test_same_passive_error_as_reference_walk(self):
+        # Two passive actions left unsynchronized at the top level: both
+        # walks must name the first one met in transition order.
+        model = parse_model(
+            "P = (go, 1.0).P1; P1 = (b, infty).P + (a, infty).P; "
+            "Q = (go, 2.0).Q; P <go> Q"
+        )
+        with pytest.raises(IllFormedModelError) as ref:
+            derive_reference(model)
+        with pytest.raises(IllFormedModelError) as fast:
+            derive(model)
+        assert "'b'" in str(ref.value)
+        assert str(fast.value) == str(ref.value)
+
+    def test_passive_error_before_limit_in_the_same_level(self):
+        # The passive self-loop comes before the transition that would
+        # number a second state, so a one-at-a-time walk reports the
+        # ill-formed model, not the limit.
+        model = parse_model("P = (b, infty).P + (a, 1.0).Q; Q = (c, 1.0).P; P")
+        with pytest.raises(IllFormedModelError) as ref:
+            derive_reference(model, max_states=1)
+        with pytest.raises(IllFormedModelError) as fast:
+            derive(model, max_states=1)
+        assert str(fast.value) == str(ref.value)
 
 
 class TestParallelEdgeMultiplicity:

@@ -15,17 +15,26 @@ The lexer/parser must also never crash with anything but
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PepaError, ReproError
-from repro.pepa import ctmc_of, derive, parse_model
+from repro.pepa import ctmc_of, derive, derive_reference, parse_model
 from repro.pepa.parser import parse_model as parse
 
 
 @st.composite
-def random_model(draw):
-    """A random deadlock-free-ish PEPA model source."""
+def random_model(draw, passive=False, hiding=False, aggregation=False):
+    """A random deadlock-free-ish PEPA model source.
+
+    The opt-in features widen what derivation must handle, and leave
+    the draws of the default generator unchanged: ``passive`` lets a
+    branch run at ``infty`` (a passive activity left unsynchronized at
+    the top level is ill-formed, which derivation must report);
+    ``hiding`` may hide one action of a component or of the whole
+    system; ``aggregation`` may replicate a component as ``P[k]``.
+    """
     n_components = draw(st.integers(1, 3))
     actions = ["act0", "act1", "act2", "act3"]
     sources = []
@@ -43,13 +52,25 @@ def random_model(draw):
                 rate = draw(st.floats(min_value=0.1, max_value=5.0))
                 target = draw(st.integers(0, n_states - 1))
                 used.add(action)
-                branches.append(f"({action}, {rate!r}).C{c}S{target}")
+                if passive and draw(st.integers(0, 4)) == 0:
+                    rate = "infty"
+                else:
+                    rate = repr(rate)
+                branches.append(f"({action}, {rate}).C{c}S{target}")
             lines.append(f"C{c}S{s} = " + " + ".join(branches) + ";")
         sources.extend(lines)
         component_actions.append(used)
+    def operand(c: int) -> str:
+        term = f"C{c}S0"
+        if aggregation and draw(st.booleans()):
+            term += f"[{draw(st.integers(2, 3))}]"
+        if hiding and draw(st.booleans()):
+            term = f"({term})/{{{draw(st.sampled_from(sorted(component_actions[c])))}}}"
+        return term
+
     # Compose left-to-right; cooperation sets drawn from actions BOTH
     # sides can perform (avoids trivially blocked actions).
-    system = "C0S0"
+    system = operand(0)
     cumulative = set(component_actions[0])
     for c in range(1, n_components):
         shared_pool = sorted(cumulative & component_actions[c])
@@ -59,8 +80,10 @@ def random_model(draw):
             else st.just([])
         )
         op = "<" + ", ".join(coop) + ">" if coop else "||"
-        system = f"({system}) {op} C{c}S0"
+        system = f"({system}) {op} {operand(c)}"
         cumulative |= component_actions[c]
+    if hiding and draw(st.booleans()):
+        system = f"({system})/{{{draw(st.sampled_from(sorted(cumulative)))}}}"
     return "\n".join(sources) + "\n" + system
 
 
@@ -106,6 +129,35 @@ class TestRandomModels:
         dist = chain.transient([0.0, 0.5, 2.0])
         np.testing.assert_allclose(dist.sum(axis=1), 1.0, atol=1e-8)
         assert (dist >= -1e-12).all()
+
+
+class TestLevelSweepEqualsReference:
+    """The level-synchronous sweep against the one-transition-at-a-time
+    reference walk, on generated models with passive rates, hiding and
+    aggregation: the same bits, or the same error."""
+
+    @given(
+        source=random_model(passive=True, hiding=True, aggregation=True),
+        max_states=st.sampled_from((5_000, 7, 3)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_derive_matches_reference_bit_for_bit(self, source, max_states):
+        model = parse_model(source)
+        try:
+            ref = derive_reference(model, max_states=max_states)
+        except ReproError as exc:
+            with pytest.raises(type(exc)) as err:
+                derive(model, max_states=max_states)
+            assert str(err.value) == str(exc)
+            return
+        fast = derive(model, max_states=max_states)
+        assert fast.states == ref.states
+        assert fast.action_names == ref.action_names
+        for name in ("trans_source", "trans_target", "trans_rate",
+                     "trans_action_code"):
+            a, b = getattr(fast, name), getattr(ref, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 class TestParserFuzz:

@@ -400,6 +400,38 @@ class TestDeriveBackendRecorded:
             )
         assert calls == {"parse": 1, "select": 1}
 
+    @pytest.mark.parametrize(
+        "derive_backend", [None, "explicit", "population", "auto"]
+    )
+    def test_named_derive_backend_hashes_like_the_default(
+        self, monkeypatch, derive_backend
+    ):
+        # Naming a derive backend must not add a manifest (and its model
+        # and result digests) for the derivation step: every variant
+        # hashes the chain once for the cache key, then the result and
+        # the steady manifest.
+        from repro.engine import cache, run_manifest
+        from repro.ir import registry
+
+        namespaces = []
+        real = cache.canonical_key
+
+        def spy(namespace, *parts):
+            namespaces.append(namespace)
+            return real(namespace, *parts)
+
+        for module in (cache, registry, run_manifest):
+            monkeypatch.setattr(module, "canonical_key", spy)
+        with cache.cache_override(True):
+            result = run_from_source(
+                "pepa", get_source("pc_lan_4"), "steady",
+                derive_backend=derive_backend,
+            )
+        assert namespaces == ["ir", "ir.steady", "result", "manifest"]
+        expected = "explicit" if derive_backend in (None, "explicit") else "population"
+        recorded = result.meta["manifest"].model.get("derive_backend") or "explicit"
+        assert recorded == expected
+
     def test_cli_solve_records_resolved_backend(self, tmp_path, capsys):
         from repro.cli import main
 
