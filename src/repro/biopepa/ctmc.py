@@ -22,6 +22,7 @@ import scipy.sparse as sp
 from repro.biopepa.model import BioModel
 from repro.errors import BioPepaError, StateSpaceLimitError
 from repro.ir import MarkovIR, solve
+from repro.numerics.generator import generator_from_rates
 from repro.numerics.steady import SteadyStateResult
 
 __all__ = ["population_ctmc", "PopulationCTMC"]
@@ -148,11 +149,8 @@ def population_ctmc(model: BioModel, max_states: int = 200_000) -> PopulationCTM
             cols.append(dst)
             vals.append(float(a))
     n = len(states)
-    R = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    exit_rates = np.asarray(R.sum(axis=1)).ravel()
-    Q = (R - sp.diags(exit_rates, format="csr")).tocsr()
     return PopulationCTMC(
         model=model,
         states=np.asarray(states, dtype=np.int64),
-        generator=Q,
+        generator=generator_from_rates(n, rows, cols, vals),
     )

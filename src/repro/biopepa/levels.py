@@ -25,11 +25,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.biopepa.ctmc import VectorChain
 from repro.biopepa.model import BioModel
 from repro.errors import BioPepaError, StateSpaceLimitError
+from repro.numerics.generator import generator_from_rates
 
 __all__ = ["levels_ctmc", "LevelsCTMC"]
 
@@ -145,13 +145,10 @@ def levels_ctmc(
             cols.append(dst)
             vals.append(float(a))
     n = len(states)
-    R = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    exit_rates = np.asarray(R.sum(axis=1)).ravel()
-    Q = (R - sp.diags(exit_rates, format="csr")).tocsr()
     return LevelsCTMC(
         model=model,
         states=np.asarray(states, dtype=np.int64),
-        generator=Q,
+        generator=generator_from_rates(n, rows, cols, vals),
         step=step,
         max_levels=caps,
     )

@@ -21,7 +21,7 @@ from repro.ir import guards
 from repro.ir.guards import DENSE_STATE_LIMIT
 from repro.ir.markov import MarkovIR
 from repro.ir.registry import register_backend, register_fallback_chain
-from repro.numerics.steady import steady_state
+from repro.numerics.steady import check_defect, steady_state
 from repro.numerics.transient import (
     absorption_cdf,
     expected_hitting_time,
@@ -48,7 +48,9 @@ class PassageSolution:
 
 def _steady(method):
     def run(ir: MarkovIR, **params):
-        return steady_state(ir.generator, method=method, **params)
+        # The IR's memo is the sweep the trust sentinel reads too.
+        check_defect(ir.generator_defect())
+        return steady_state(ir.generator, method=method, check=False, **params)
 
     return run
 

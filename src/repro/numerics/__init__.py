@@ -14,7 +14,9 @@ by the process-algebra packages) and *matrix* concerns:
     Transient distributions and absorption probabilities via
     uniformization (vectorized over a whole time grid).
 ``dtmc``
-    Uniformization and stationary analysis of discrete-time chains.
+    Uniformization of a CTMC into a discrete-time chain.
+``generator``
+    Generator assembly, structural measurement and absorption.
 ``hypoexp``
     Closed-form hypoexponential (sum of exponentials) distributions,
     used as an analytic cross-check for the passage-time engine.
@@ -34,7 +36,7 @@ from repro.numerics.transient import (
 )
 from repro.numerics.poisson import poisson_weights
 from repro.numerics.hypoexp import hypoexp_cdf, hypoexp_mean, hypoexp_var
-from repro.numerics.dtmc import uniformized_dtmc, dtmc_stationary
+from repro.numerics.dtmc import uniformized_dtmc
 from repro.numerics.ode import integrate_ode, rk4_fixed_step
 from repro.numerics.quantile import cdf_quantile
 
@@ -49,7 +51,6 @@ __all__ = [
     "hypoexp_mean",
     "hypoexp_var",
     "uniformized_dtmc",
-    "dtmc_stationary",
     "integrate_ode",
     "rk4_fixed_step",
     "cdf_quantile",

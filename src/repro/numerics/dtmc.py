@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import ConvergenceError
-
-__all__ = ["uniformized_dtmc", "uniformization_rate", "dtmc_stationary"]
+__all__ = ["uniformized_dtmc", "uniformization_rate"]
 
 
 def uniformization_rate(exit_rates: np.ndarray) -> float:
@@ -37,17 +35,3 @@ def uniformized_dtmc(Q: sp.spmatrix, lam: float | None = None) -> tuple[sp.csr_m
     P = sp.eye(Q.shape[0], format="csr") + Q.multiply(1.0 / lam)
     return P.tocsr(), lam
 
-
-def dtmc_stationary(P: sp.spmatrix, tol: float = 1e-12, maxiter: int = 200_000) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix by power iteration."""
-    P = sp.csr_matrix(P, dtype=np.float64)
-    n = P.shape[0]
-    PT = P.transpose().tocsr()
-    pi = np.full(n, 1.0 / n)
-    for _ in range(maxiter):
-        nxt = PT @ pi
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() < tol:
-            return nxt
-        pi = nxt
-    raise ConvergenceError(f"DTMC power iteration failed to reach {tol} in {maxiter} steps")

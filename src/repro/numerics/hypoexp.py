@@ -61,16 +61,11 @@ def hypoexp_cdf(rates: Sequence[float], t: float | np.ndarray) -> np.ndarray:
     else:
         # Phase-type chain: stage i -> stage i+1 at rate r[i]; the last
         # stage feeds the absorbing "done" state.  CDF = absorption mass.
-        import scipy.sparse as sp
-
+        from repro.numerics.generator import generator_from_rates
         from repro.numerics.transient import absorption_cdf
 
         rows = np.arange(n)
-        Q = sp.coo_matrix(
-            (np.concatenate([r, -r]), (np.concatenate([rows, rows]),
-                                       np.concatenate([rows + 1, rows]))),
-            shape=(n + 1, n + 1),
-        ).tocsr()
+        Q = generator_from_rates(n + 1, rows, rows + 1, r)
         pi0 = np.zeros(n + 1)
         pi0[0] = 1.0
         out = absorption_cdf(Q, pi0, [n], t_arr)

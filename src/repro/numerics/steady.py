@@ -52,8 +52,9 @@ from repro.engine import faults
 from repro.engine.metrics import get_registry
 from repro.errors import ConvergenceError, SingularGeneratorError
 from repro.numerics import diagnostics
+from repro.numerics.generator import generator_defect
 
-__all__ = ["steady_state", "SteadyStateResult", "validate_generator"]
+__all__ = ["steady_state", "SteadyStateResult", "validate_generator", "check_defect"]
 
 _METHODS = ("direct", "gmres", "power")
 
@@ -99,8 +100,9 @@ class SteadyStateResult:
 
 
 def validate_generator(Q: sp.spmatrix, atol: float = 1e-8) -> sp.csr_matrix:
-    """Check that ``Q`` is a square generator (rows sum to ~0, off-diagonal
-    entries non-negative) and return it as CSR.
+    """Check that ``Q`` is a square generator (one
+    :func:`~repro.numerics.generator.generator_defect` sweep judged by
+    :func:`check_defect`) and return it as CSR.
 
     Raises
     ------
@@ -113,18 +115,23 @@ def validate_generator(Q: sp.spmatrix, atol: float = 1e-8) -> sp.csr_matrix:
         raise SingularGeneratorError(f"generator must be square, got {n}x{m}")
     if n == 0:
         raise SingularGeneratorError("generator is empty")
-    row_sums = np.asarray(Q.sum(axis=1)).ravel()
-    scale = max(1.0, float(np.abs(Q.data).max()) if Q.nnz else 1.0)
-    if np.abs(row_sums).max() > atol * scale:
-        worst = int(np.abs(row_sums).argmax())
-        raise SingularGeneratorError(
-            f"row {worst} of generator sums to {row_sums[worst]:.3e}, not 0"
-        )
-    coo = Q.tocoo()
-    off = coo.row != coo.col
-    if coo.data[off].size and coo.data[off].min() < -atol * scale:
-        raise SingularGeneratorError("negative off-diagonal rate in generator")
+    check_defect(generator_defect(Q), atol)
     return Q
+
+
+def check_defect(defect: dict, atol: float = 1e-8) -> None:
+    """Raise :class:`SingularGeneratorError` unless a
+    :func:`~repro.numerics.generator.generator_defect` measurement has
+    rows summing to 0 and no negative off-diagonal entry, each within
+    ``atol`` times its scale."""
+    tol = atol * defect["scale"]
+    if defect["row_sum"] > tol:
+        raise SingularGeneratorError(
+            f"row {defect['worst_row']} of generator sums to "
+            f"{defect['worst_row_sum']:.3e}, not 0"
+        )
+    if defect["min_offdiag"] < -tol:
+        raise SingularGeneratorError("negative off-diagonal rate in generator")
 
 
 def _replaced_system(Q: sp.csr_matrix) -> tuple[sp.csc_matrix, np.ndarray]:
@@ -239,8 +246,10 @@ def steady_state(
     maxiter:
         Iteration budget for the iterative methods.
     check:
-        Validate generator structure first (disable in hot loops where
-        the caller already guarantees it).
+        Validate generator structure first (:func:`validate_generator`).
+        The registry's steady backends pass ``False``: they judge the
+        IR's memoised ``generator_defect``, the sweep the trust layer's
+        sentinel reads too, with :func:`check_defect`.
 
     Returns
     -------

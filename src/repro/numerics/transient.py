@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from repro.errors import NumericsError
 from repro.numerics.dtmc import uniformized_dtmc
+from repro.numerics.generator import absorbing
 from repro.numerics.poisson import poisson_weights, uniformization_weights
 
 __all__ = [
@@ -178,20 +179,7 @@ def absorption_cdf(
     for s in target:
         if not 0 <= s < n:
             raise NumericsError(f"target state {s} out of range 0..{n - 1}")
-    # Drop the target rows' entries from the canonical (sorted, summed)
-    # index arrays; every other row keeps its entries in order.  The
-    # caller's arrays are left as they are.
-    if not Q.has_canonical_format:
-        Q = Q.copy()
-        Q.sum_duplicates()
-    kept = np.ones(n, dtype=bool)
-    kept[target] = False
-    row_nnz = np.diff(Q.indptr)
-    keep = np.repeat(kept, row_nnz)
-    indptr = np.zeros_like(Q.indptr)
-    np.cumsum(row_nnz * kept, out=indptr[1:])
-    Qa = sp.csr_matrix((Q.data[keep], Q.indices[keep], indptr), shape=Q.shape)
-    dist = transient_distribution(Qa, pi0, times, epsilon)
+    dist = transient_distribution(absorbing(Q, target), pi0, times, epsilon)
     return dist[:, target].sum(axis=1)
 
 

@@ -41,6 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import NumericsError, PepaError
+from repro.numerics.generator import absorbing
 from repro.numerics.transient import backward_transient
 from repro.pepa.ctmc import CTMC
 
@@ -221,18 +222,6 @@ def prob_next(chain: CTMC, target: set[int]) -> np.ndarray:
     return np.clip(u, 0.0, 1.0)
 
 
-def _absorbing_variant(
-    chain: CTMC, keep: set[int]
-) -> sp.csr_matrix:
-    """Zero the outgoing rows of every state outside ``keep``."""
-    Q = chain.generator.tolil(copy=True)
-    for s in range(chain.n_states):
-        if s not in keep:
-            Q.rows[s] = []
-            Q.data[s] = []
-    return Q.tocsr()
-
-
 def prob_until(
     chain: CTMC,
     phi: set[int],
@@ -247,19 +236,20 @@ def prob_until(
     # Phase 2: within [0, t2-t1], reach Ψ travelling through Φ.  Make Ψ
     # absorbing (success) and ¬Φ∧¬Ψ absorbing (failure), then a backward
     # sweep of the indicator of Ψ.
-    transient_states = (phi | psi)
-    Q2 = _absorbing_variant(chain, keep=phi - psi)
+    running = phi - psi
+    Q2 = absorbing(chain.generator, [s for s in range(n) if s not in running])
     u2 = backward_transient(Q2, _indicator(chain, psi), t2 - t1)
     if t1 == 0.0:
         u = u2
     else:
         # Phase 1: survive inside Φ for t1, then continue with u2 from the
         # state reached.  Outside Φ everything is lost.
-        Q1 = _absorbing_variant(chain, keep=phi)
+        outside = [s for s in range(n) if s not in phi]
+        Q1 = absorbing(chain.generator, outside)
         v = u2.copy()
-        v[[s for s in range(n) if s not in phi]] = 0.0
+        v[outside] = 0.0
         u = backward_transient(Q1, v, t1)
-        u[[s for s in range(n) if s not in phi]] = 0.0
+        u[outside] = 0.0
     return np.clip(u, 0.0, 1.0)
 
 

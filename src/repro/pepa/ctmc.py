@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from repro.errors import DeadlockError
 from repro.ir import MarkovIR, solve
+from repro.numerics.generator import generator_from_rates
 from repro.numerics.steady import SteadyStateResult
 from repro.pepa.statespace import StateSpace
 
@@ -137,14 +138,6 @@ def _aggregate(space: StateSpace) -> CTMC:
     # the generator's diagonal reflects the true exit rates.
     keep = rows != cols
     with get_registry().timer("derive.csr_assembly") as gauges:
-        R = sp.coo_matrix(
-            (vals[keep], (rows[keep], cols[keep])), shape=(n, n)
-        ).tocsr()
-        # COO->CSR already sums duplicate (row, col) entries — PEPA's
-        # race-condition semantics for parallel edges; sum_duplicates()
-        # pins that contract and canonicalizes the index arrays.
-        R.sum_duplicates()
-        exit_rates = np.asarray(R.sum(axis=1)).ravel()
-        Q = (R - sp.diags(exit_rates, format="csr")).tocsr()
+        Q = generator_from_rates(n, rows[keep], cols[keep], vals[keep])
         gauges["nnz"] = Q.nnz
     return CTMC(space=space, generator=Q)

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import PepaError
+from repro.numerics.generator import generator_from_rates
 from repro.pepa.ctmc import CTMC
 
 __all__ = ["to_prism_tra", "to_prism_sta", "to_prism_lab", "export_prism", "import_tra"]
@@ -138,6 +139,4 @@ def import_tra(text: str) -> sp.csr_matrix:
         if rate <= 0:
             raise PepaError(f".tra row {line!r} has a non-positive rate")
         rows[k], cols[k], vals[k] = src, dst, rate
-    R = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    exit_rates = np.asarray(R.sum(axis=1)).ravel()
-    return (R - sp.diags(exit_rates, format="csr")).tocsr()
+    return generator_from_rates(n, rows, cols, vals)

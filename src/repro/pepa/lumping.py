@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import PepaError
+from repro.numerics.generator import generator_from_rates
 from repro.pepa.ctmc import CTMC
 
 __all__ = [
@@ -239,11 +240,8 @@ def lump(
             lrows.append(b)
             lcols.append(tgt)
             lvals.append(rate * inv)
-    L = sp.coo_matrix((lvals, (lrows, lcols)), shape=(nb, nb)).tocsr()
-    exit_rates = np.asarray(L.sum(axis=1)).ravel()
-    Q = (L - sp.diags(exit_rates, format="csr")).tocsr()
     return LumpedCTMC(
-        generator=Q,
+        generator=generator_from_rates(nb, lrows, lcols, lvals),
         blocks=tuple(tuple(sorted(m)) for m in blocks),
         block_of=block_of.copy(),
     )

@@ -67,11 +67,6 @@ class TestDerived:
         assert not ir.has_transitions
         np.testing.assert_array_equal(ir.initial_distribution(), [1.0, 0.0])
 
-    def test_absorbing_states(self):
-        Q = _generator([[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        ir = MarkovIR(generator=Q)
-        np.testing.assert_array_equal(ir.absorbing_states(), [1, 2])
-
     def test_action_rate_matrix(self):
         ir = labelled_three_state()
         R = ir.action_rate_matrix("back")

@@ -1,11 +1,10 @@
-"""Uniformized DTMC construction and stationary analysis."""
+"""Uniformized DTMC construction."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.numerics.dtmc import dtmc_stationary, uniformized_dtmc
-from repro.numerics.steady import steady_state
+from repro.numerics.dtmc import uniformized_dtmc
 from tests.conftest import random_generator
 
 
@@ -34,27 +33,3 @@ class TestUniformize:
         with pytest.raises(ValueError, match="below the maximum exit rate"):
             uniformized_dtmc(Q, lam=2.0)
 
-
-class TestStationary:
-    def test_matches_ctmc_steady_state(self):
-        rng = np.random.default_rng(2)
-        Q = random_generator(rng, 10)
-        P, _lam = uniformized_dtmc(Q)
-        pi_dtmc = dtmc_stationary(P)
-        pi_ctmc = steady_state(Q).pi
-        # Uniformization preserves the stationary distribution.
-        np.testing.assert_allclose(pi_dtmc, pi_ctmc, atol=1e-8)
-
-    def test_two_state(self):
-        P = sp.csr_matrix(np.array([[0.5, 0.5], [0.25, 0.75]]))
-        pi = dtmc_stationary(P)
-        np.testing.assert_allclose(pi, [1 / 3, 2 / 3], atol=1e-9)
-
-    def test_convergence_failure_raises(self):
-        from repro.errors import ConvergenceError
-
-        # A nearly-reducible chain converges far too slowly for a tiny
-        # iteration budget (the uniform start is not its fixed point).
-        P = sp.csr_matrix(np.array([[0.9999, 0.0001], [0.001, 0.999]]))
-        with pytest.raises(ConvergenceError):
-            dtmc_stationary(P, tol=1e-14, maxiter=3)
