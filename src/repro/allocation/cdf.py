@@ -30,6 +30,7 @@ from repro.engine import run_manifest
 from repro.engine.cache import cached
 from repro.engine.executor import run_tasks
 from repro.engine.metrics import get_registry
+from repro.ir.registry import get_backend, pinned_revision
 from repro.numerics.quantile import cdf_quantile
 from repro.pepa.ctmc import ctmc_of
 from repro.pepa.passage import passage_time_cdf, passage_time_mean
@@ -129,9 +130,11 @@ def finishing_time_cdf(
 
 
 def _machine_cdf_task(task) -> np.ndarray:
-    """Worker: one machine's finishing-time CDF on a shared grid."""
-    mapping, machine, workload, times, method = task
-    return finishing_time_cdf(mapping, machine, workload, times=times, method=method).cdf
+    """Worker: one machine's finishing-time CDF on a shared grid, on the
+    passage revision the parent runs (a worker process pins it again)."""
+    mapping, machine, workload, times, method, revision = task
+    with pinned_revision("passage", method, revision):
+        return finishing_time_cdf(mapping, machine, workload, times=times, method=method).cdf
 
 
 def makespan_cdf(
@@ -162,11 +165,13 @@ def makespan_cdf(
     :func:`finishing_time_mean` guide the choice).
     """
     times = np.asarray(times, dtype=np.float64)
+    # The passage revision keys the result, its checkpoints and its
+    # tasks; revision-1 keys predate revisions.
+    revision = get_backend("passage", method).revision
+    key = (mapping, workload, times, method) + ((revision,) if revision != 1 else ())
     with get_registry().timer("makespan_cdf") as gauges:
         result, status = cached(
-            "makespan_cdf",
-            (mapping, workload, times, method),
-            lambda: _compute_makespan(mapping, workload, times, method),
+            "makespan_cdf", key, lambda: _compute_makespan(key, revision)
         )
         gauges["grid_points"] = times.size
     result.meta["cache"] = status
@@ -184,6 +189,8 @@ def makespan_cdf(
             "count": sum(1 for m in MACHINES if mapping.applications_on(m)),
             "unit": "machine",
         },
+        # Absent means revision 1, so older manifests keep their identity.
+        backend={"revision": revision} if revision != 1 else None,
     )
     run_manifest.attach_manifest(result, manifest)
     if result.cdf.size and result.cdf[-1] < 1.0 - tail_tol:
@@ -197,18 +204,17 @@ def makespan_cdf(
     return result
 
 
-def _compute_makespan(
-    mapping: Mapping, workload: Workload, times: np.ndarray, method: str
-) -> FinishingTime:
+def _compute_makespan(key: tuple, revision: int) -> FinishingTime:
     from repro.allocation.mapping import MACHINES
 
+    mapping, workload, times, method = key[:4]
     machines = [m for m in MACHINES if mapping.applications_on(m)]
     # With a disk cache layer, an interrupted sweep resumes its
     # per-machine solves from their checkpoint entries.
     per_machine = run_tasks(
         _machine_cdf_task,
-        [(mapping, machine, workload, times, method) for machine in machines],
-        checkpoint=("makespan", mapping, workload, times, method),
+        [(mapping, machine, workload, times, method, revision) for machine in machines],
+        checkpoint=("makespan",) + key,
     )
     cdf = np.ones_like(times)
     for machine_cdf in per_machine:  # fixed MACHINES order: deterministic product

@@ -432,10 +432,12 @@ def build_batch_manifest(
     model: dict | None,
     chunks: dict | None = None,
     seed: dict | None = None,
+    backend: dict | None = None,
     replayable: bool | None = None,
 ) -> RunManifest | None:
     """Manifest of a batch entry point above the registry (makespan
-    CDFs, sweeps) — the caller supplies the model description."""
+    CDFs, sweeps) — the caller supplies the model description and, for
+    numerics past revision 1, ``backend={"revision": ...}``."""
     try:
         encoded = encode_params(params)
     except Uncacheable:
@@ -450,7 +452,7 @@ def build_batch_manifest(
         params=encoded,
         seed=seed,
         chunks=chunks,
-        backend=None,
+        backend=backend,
         cache=getattr(result, "meta", {}).get("cache")
         if isinstance(getattr(result, "meta", None), dict) else None,
         diagnostics=_diagnostics_digest(result),

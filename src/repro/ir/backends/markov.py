@@ -25,6 +25,7 @@ from repro.numerics.steady import check_defect, steady_state
 from repro.numerics.transient import (
     absorption_cdf,
     expected_hitting_time,
+    swept_absorption_cdf,
     take_truncation,
     transient_distribution,
 )
@@ -153,15 +154,23 @@ def _passage_targets(ir: MarkovIR, targets) -> list[int]:
     return targets
 
 
-def _passage_uniformization(ir: MarkovIR, *, targets, times, pi0=None,
-                            epsilon=1e-12):
+def _passage_by(kernel, ir: MarkovIR, targets, times, pi0, epsilon):
     targets = _passage_targets(ir, targets)
     p0 = _resolve_pi0(ir, pi0)
     times = np.asarray(times, dtype=np.float64)
     cdf = _noting_truncation(
-        lambda: absorption_cdf(ir.generator, p0, targets, times, epsilon)
+        lambda: kernel(ir.generator, p0, targets, times, epsilon)
     )
     return _finish_passage(ir, p0, targets, times, cdf)
+
+
+def _passage_swept(ir: MarkovIR, *, targets, times, pi0=None, epsilon=1e-12):
+    return _passage_by(swept_absorption_cdf, ir, targets, times, pi0, epsilon)
+
+
+def _passage_uniformization(ir: MarkovIR, *, targets, times, pi0=None,
+                            epsilon=1e-12):
+    return _passage_by(absorption_cdf, ir, targets, times, pi0, epsilon)
 
 
 def _passage_expm(ir: MarkovIR, *, targets, times, pi0=None, epsilon=1e-12):
@@ -178,12 +187,17 @@ def _passage_expm(ir: MarkovIR, *, targets, times, pi0=None, epsilon=1e-12):
     return _finish_passage(ir, p0, targets, times, cdf)
 
 
+# Revision 1 sweeps every grid; revision 2 steps one propagator across
+# a uniform grid where that is cheaper (numerics.transient).  Replay of
+# a revision-1 manifest runs revision 1.
+register_backend("passage", "uniformization", _passage_swept, accepts=(MarkovIR,))
 register_backend(
     "passage",
     "uniformization",
     _passage_uniformization,
     accepts=(MarkovIR,),
     default=True,
+    revision=2,
 )
 register_backend(
     "passage", "expm", _passage_expm, accepts=(MarkovIR,), aliases=("dense",)

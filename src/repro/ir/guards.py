@@ -57,7 +57,7 @@ from repro.errors import NumericalTrustError
 from repro.ir.markov import MarkovIR
 from repro.ir.reaction import ReactionIR
 from repro.numerics import diagnostics as diag
-from repro.numerics.dtmc import uniformization_rate
+from repro.numerics.transient import planned_truncation
 
 __all__ = [
     "SIMPLEX_ATOL",
@@ -305,7 +305,7 @@ def _check_orbits(capability, backend, ir, result) -> dict:
     }
 
 
-def _check_derive(capability, backend, ir, result, params) -> dict:
+def _check_derive(capability, backend, ir, result, params, revision) -> dict:
     # ``ir`` is the frontend's model object here; the sentinels run on
     # the freshly built MarkovIR instead — a derivation strategy that
     # assembles a malformed generator must not hand it downstream.
@@ -332,7 +332,7 @@ def _rate_scale(ir: MarkovIR) -> float:
     return max(1.0, float(diag_abs.max()) if diag_abs.size else 1.0)
 
 
-def _check_steady(capability, backend, ir, result, params) -> dict:
+def _check_steady(capability, backend, ir, result, params, revision) -> dict:
     _check_generator(capability, backend, ir)
     pi = np.asarray(result.pi, dtype=np.float64)
     simplex = diag.simplex_defect(pi)
@@ -366,29 +366,26 @@ def _check_steady(capability, backend, ir, result, params) -> dict:
     }
 
 
-_TRUNCATION_KEYS = ("uniformization_rate", "poisson_mean", "truncation_k", "truncation_mass")
+_TRUNCATION_KEYS = (
+    "kernel", "uniformization_rate", "poisson_mean", "truncation_k", "truncation_mass",
+)
 
 
-def _truncation(ir, params, absorbing=()) -> dict:
-    """The uniformization sweep's truncation: as the backend noted it,
-    or else (a cache hit, a dense backend) found again by the sweep's
-    rule — the default rate of the generator with the ``absorbing`` rows
-    zeroed, and the truncation point for the largest time — so that a
-    hit and a miss report the same ``K``."""
+def _truncation(ir, params, targets=(), stepping=False) -> dict:
+    """The uniformization solve's truncation: as the backend noted it,
+    or else (a cache hit, a dense backend) planned again by the solve's
+    own rule (:func:`~repro.numerics.transient.planned_truncation`), so
+    that a hit and a miss report the same ``K``."""
     noted = getattr(_notes, "data", None) or {}
     if "truncation_k" in noted:
         return {key: noted.pop(key) for key in _TRUNCATION_KEYS}
-    times = np.asarray(params.get("times", ()), dtype=np.float64)
-    t_max = float(times.max()) if times.size else 0.0
-    exit_rates = -ir.generator.diagonal()
-    exit_rates[[int(s) for s in absorbing]] = 0.0
-    return diag.truncation_diagnostics(
-        ir.generator, t_max, float(params.get("epsilon", 1e-12)),
-        rate=uniformization_rate(exit_rates),
+    return planned_truncation(
+        ir.generator, params.get("times", ()), float(params.get("epsilon", 1e-12)),
+        targets, stepping,
     )
 
 
-def _check_transient(capability, backend, ir, result, params) -> dict:
+def _check_transient(capability, backend, ir, result, params, revision) -> dict:
     _check_generator(capability, backend, ir)
     dist = np.asarray(result, dtype=np.float64)
     if not np.isfinite(dist).all():
@@ -413,7 +410,7 @@ def _check_transient(capability, backend, ir, result, params) -> dict:
     return out
 
 
-def _check_passage(capability, backend, ir, result, params) -> dict:
+def _check_passage(capability, backend, ir, result, params, revision) -> dict:
     _check_generator(capability, backend, ir)
     cdf = np.asarray(result.cdf, dtype=np.float64)
     if not np.isfinite(cdf).all() or not math.isfinite(result.mean):
@@ -432,7 +429,10 @@ def _check_passage(capability, backend, ir, result, params) -> dict:
     if result.mean < -1e-12:
         _fail("mean_sign", f"negative mean passage time {result.mean:.3e}",
               capability=capability, backend=backend, ir=ir, detail=result.mean)
-    out = _truncation(ir, params, absorbing=params.get("targets", ()))
+    # Revision 1 of uniformization sweeps every grid; revision 2 and the
+    # dense backend report what the current uniformization would run.
+    stepping = (backend, revision) != ("uniformization", 1)
+    out = _truncation(ir, params, params.get("targets", ()), stepping)
     out.update(
         monotonicity_defect=drop,
         cdf_final=float(cdf[-1]) if cdf.size else 0.0,
@@ -459,7 +459,7 @@ def _conservation_checks(capability, backend, ir, counts, kind) -> dict:
     return {"conservation_laws": int(W.shape[0]), "conservation_defect": defect}
 
 
-def _check_ode(capability, backend, ir, result, params) -> dict:
+def _check_ode(capability, backend, ir, result, params, revision) -> dict:
     traj = np.asarray(result, dtype=np.float64)
     if not np.isfinite(traj).all():
         _fail("finite", "ODE trajectory contains NaN/Inf",
@@ -474,7 +474,7 @@ def _check_ode(capability, backend, ir, result, params) -> dict:
     return out
 
 
-def _check_ssa(capability, backend, ir, result, params) -> dict:
+def _check_ssa(capability, backend, ir, result, params, revision) -> dict:
     # Three result shapes share the capability: a MarkovIR JumpPath, a
     # ReactionIR Trajectory, and the chunked EnsembleMoments of either.
     counts = getattr(result, "counts", None)
@@ -556,8 +556,13 @@ _CHECKS = {
 }
 
 
-def verify(capability: str, backend: str, ir, result, params: dict) -> dict:
+def verify(
+    capability: str, backend: str, ir, result, params: dict, revision: int | None = None
+) -> dict:
     """Run the capability's sentinels on ``result`` and return diagnostics.
+
+    ``revision`` is the backend's (see :mod:`repro.ir.registry`); the
+    passage check reports the truncation that revision ran with.
 
     Raises :class:`~repro.errors.NumericalTrustError` on any violation
     (after counting it as ``ir.trust.sentinel_violation``); on success
@@ -573,7 +578,7 @@ def verify(capability: str, backend: str, ir, result, params: dict) -> dict:
     check = _CHECKS.get(capability)
     out = {"capability": capability, "backend": backend}
     if check is not None:
-        out.update(check(capability, backend, ir, result, params))
+        out.update(check(capability, backend, ir, result, params, revision))
     out.update(_drain_notes())
     meta = getattr(result, "meta", None)
     if isinstance(meta, dict):

@@ -41,6 +41,15 @@ the result's ``meta["fallback_from"]``, and re-raises the *first* error
 only if every candidate fails.  ``solve(..., fallback=False)`` disables
 the walk for callers that need the raw failure.
 
+Revisions
+---------
+A backend's ``revision`` numbers its numerics: a change that moves
+result bits registers the backend again under the same name with a
+higher revision.  Requests run the latest registration; the earlier
+revisions stay registered, and :func:`pinned_revision` runs one of them
+again for a block — replay's way back to the numerics a manifest
+recorded.  A revision that is no longer registered cannot be replayed.
+
 Numerical trust
 ---------------
 Every backend result — fresh or cached — passes the sentinels of
@@ -59,6 +68,8 @@ as ``ir.trust.shadow_mismatch``.
 
 from __future__ import annotations
 
+import contextvars
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,7 +92,9 @@ __all__ = [
     "fallback_chain",
     "get_backend",
     "available_backends",
+    "available_revisions",
     "default_backend",
+    "pinned_revision",
     "solve",
     "solve_step",
 ]
@@ -104,6 +117,10 @@ RECOVERABLE = (ConvergenceError, SingularGeneratorError, NumericalTrustError)
 
 
 _REGISTRY: dict[tuple[str, str], _Backend] = {}
+#: Every revision registered, ``(capability, name, revision)``.
+_REVISIONS: dict[tuple[str, str, int], _Backend] = {}
+#: Revisions :func:`pinned_revision` selects, ``(capability, name)``.
+_PINNED: contextvars.ContextVar[dict] = contextvars.ContextVar("pinned_revisions", default={})
 _ALIASES: dict[tuple[str, str], str] = {}
 _DEFAULTS: dict[str, str] = {}
 _FALLBACK_CHAINS: dict[str, tuple[str, ...]] = {}
@@ -129,15 +146,16 @@ def register_backend(
     or the one passing ``default=True`` — becomes its default.
     ``revision`` numbers the backend's numerics: a change that moves
     result bits bumps it, manifests record it (when not 1) and replay
-    refuses a manifest of another revision.
+    runs the revision a manifest recorded while it stays registered.
+    Registering ``name`` again replaces it for requests and keeps the
+    earlier revision for replay.
     """
     if capability not in CAPABILITIES:
         raise BackendError(
             f"unknown capability {capability!r}; expected one of {CAPABILITIES}"
         )
-    _REGISTRY[(capability, name)] = _Backend(
-        capability, name, func, accepts, cache, revision
-    )
+    backend = _Backend(capability, name, func, accepts, cache, revision)
+    _REGISTRY[(capability, name)] = _REVISIONS[(capability, name, revision)] = backend
     for alias in aliases:
         _ALIASES[(capability, alias)] = name
     if default or capability not in _DEFAULTS:
@@ -187,8 +205,40 @@ def available_backends(capability: str | None = None) -> dict[str, tuple[str, ..
     }
 
 
+def _lookup(capability: str, name: str) -> _Backend | None:
+    """The registered backend ``name`` at the revision this context runs."""
+    backend = _REGISTRY.get((capability, name))
+    pinned = _PINNED.get().get((capability, name))
+    if backend is not None and pinned is not None:
+        return _REVISIONS[(capability, name, pinned)]
+    return backend
+
+
+def available_revisions(capability: str, name: str | None = None) -> tuple[int, ...]:
+    """The revisions of backend ``name`` this build can run, ascending."""
+    name = get_backend(capability, name).name
+    return tuple(sorted(r for (c, b, r) in _REVISIONS if (c, b) == (capability, name)))
+
+
+@contextmanager
+def pinned_revision(capability: str, name: str | None, revision: int):
+    """Run revision ``revision`` of backend ``name`` inside the block (in
+    this context only: a worker process pins again from its task)."""
+    name = get_backend(capability, name).name
+    if revision not in available_revisions(capability, name):
+        raise BackendError(
+            f"{capability!r} backend {name!r} has no revision {revision}"
+        )
+    token = _PINNED.set({**_PINNED.get(), (capability, name): revision})
+    try:
+        yield
+    finally:
+        _PINNED.reset(token)
+
+
 def get_backend(capability: str, name: str | None = None) -> _Backend:
-    """Resolve a backend by capability and (possibly aliased) name."""
+    """Resolve a backend by capability and (possibly aliased) name, at
+    the revision this context runs (see :func:`pinned_revision`)."""
     if capability not in CAPABILITIES:
         raise BackendError(
             f"unknown capability {capability!r}; expected one of {CAPABILITIES}"
@@ -196,7 +246,7 @@ def get_backend(capability: str, name: str | None = None) -> _Backend:
     if name is None:
         name = default_backend(capability)
     name = _ALIASES.get((capability, name), name)
-    backend = _REGISTRY.get((capability, name))
+    backend = _lookup(capability, name)
     if backend is None:
         have = available_backends(capability)[capability]
         raise BackendError(
@@ -217,7 +267,7 @@ def _execute(be: _Backend, ir, params: dict):
 
     def compute():  # verified before the cache can store it
         result = be.func(ir, **params)
-        guards.verify(be.capability, be.name, ir, result, params)
+        guards.verify(be.capability, be.name, ir, result, params, be.revision)
         return result
 
     with reg.timer(f"ir.{be.capability}"):
@@ -227,7 +277,7 @@ def _execute(be: _Backend, ir, params: dict):
                 key += (be.revision,)
             result, status = cached(f"ir.{be.capability}", key, compute)
             if status == "hit":  # a stale entry is as suspect as a bad solve
-                guards.verify(be.capability, be.name, ir, result, params)
+                guards.verify(be.capability, be.name, ir, result, params, be.revision)
         else:
             result, status = compute(), None
     meta = getattr(result, "meta", None)
@@ -304,7 +354,7 @@ def _candidates(capability: str, first: _Backend) -> list[_Backend]:
     names = [first.name] + [name for name in chain if name != first.name]
     out = []
     for name in names:
-        be = _REGISTRY.get((capability, name))
+        be = _lookup(capability, name)
         if be is not None:
             out.append(be)
     return out
@@ -328,7 +378,7 @@ def _maybe_shadow(capability: str, be: _Backend, ir, result, params: dict,
     partner = guards.shadow_backend(capability, be.name, ir, result, explicit)
     if partner is not None:
         partner = _ALIASES.get((capability, partner), partner)
-    shadow_be = _REGISTRY.get((capability, partner)) if partner else None
+    shadow_be = _lookup(capability, partner) if partner else None
     if shadow_be is None or not isinstance(ir, shadow_be.accepts):
         reg.increment("ir.trust.shadow.skipped")
         return

@@ -274,28 +274,35 @@ def _check_model_integrity(model: dict) -> str:
     return source
 
 
-def _replay_solve(manifest: RunManifest):
+def _recorded_revision(manifest: RunManifest, capability: str, backend: str | None):
+    """Pin the revision of ``backend`` the manifest recorded (absent
+    means 1); refuse numerics this build no longer runs."""
     from repro.ir import get_backend
+    from repro.ir.registry import available_revisions, pinned_revision
 
+    recorded = (manifest.backend or {}).get("revision", 1)
+    if recorded not in available_revisions(capability, backend):
+        running = get_backend(capability, backend).revision
+        raise ReplayError(
+            f"{capability!r} backend {backend!r} ran revision "
+            f"{recorded}; this build runs revision {running}"
+        )
+    return pinned_revision(capability, backend, recorded)
+
+
+def _replay_solve(manifest: RunManifest):
     model = manifest.model or {}
     source = _check_model_integrity(model)
     backend = (manifest.backend or {}).get("used")
-    # Refuse numerics this build no longer runs (no revision means 1).
-    recorded = (manifest.backend or {}).get("revision", 1)
-    running = get_backend(manifest.capability, backend).revision
-    if recorded != running:
-        raise ReplayError(
-            f"{manifest.capability!r} backend {backend!r} ran revision "
-            f"{recorded}; this build runs revision {running}"
+    with _recorded_revision(manifest, manifest.capability, backend):
+        return run_from_source(
+            model.get("formalism"),
+            source,
+            manifest.capability,
+            backend=backend,
+            derive_backend=model.get("derive_backend"),
+            **manifest.decoded_params(),
         )
-    return run_from_source(
-        model.get("formalism"),
-        source,
-        manifest.capability,
-        backend=backend,
-        derive_backend=model.get("derive_backend"),
-        **manifest.decoded_params(),
-    )
 
 
 def _replay_makespan(manifest: RunManifest):
@@ -309,13 +316,16 @@ def _replay_makespan(manifest: RunManifest):
     mapping = _instantiate(model["mapping"])
     workload = _instantiate(model["workload"])
     params = manifest.decoded_params()
-    return makespan_cdf(
-        mapping,
-        workload,
-        params["times"],
-        tail_tol=params.get("tail_tol", 1e-2),
-        method=params.get("method", "uniformization"),
-    )
+    method = params.get("method", "uniformization")
+    # The batch manifest records the revision of its passage backend.
+    with _recorded_revision(manifest, "passage", method):
+        return makespan_cdf(
+            mapping,
+            workload,
+            params["times"],
+            tail_tol=params.get("tail_tol", 1e-2),
+            method=method,
+        )
 
 
 def replay(manifest, verify: bool = False) -> ReplayReport:

@@ -12,11 +12,13 @@ by the process-algebra packages) and *matrix* concerns:
     uniformized DTMC.
 ``transient``
     Transient distributions and absorption probabilities via
-    uniformization (vectorized over a whole time grid).
+    uniformization (vectorized over a whole time grid, or for passage
+    CDFs on a uniform grid, one propagator stepped across it).
 ``dtmc``
     Uniformization of a CTMC into a discrete-time chain.
 ``generator``
-    Generator assembly, structural measurement and absorption.
+    Generator assembly, structural measurement, absorption and the
+    off-diagonal rate matrix.
 ``hypoexp``
     Closed-form hypoexponential (sum of exponentials) distributions,
     used as an analytic cross-check for the passage-time engine.

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro.numerics.generator import as_csr
 from repro.numerics.poisson import poisson_truncation_point
 
 __all__ = [
@@ -45,7 +46,7 @@ def steady_residual(Q: sp.spmatrix, pi: np.ndarray) -> float:
     single sparse mat-vec away.
     """
     pi = np.asarray(pi, dtype=np.float64)
-    r = pi @ sp.csr_matrix(Q, dtype=np.float64)
+    r = pi @ as_csr(Q)
     r = np.asarray(r).ravel()
     return float(np.abs(r).max()) if r.size else 0.0
 
@@ -123,7 +124,7 @@ def truncation_diagnostics(
     if rate is not None:
         lam = float(rate)
     else:
-        Q = sp.csr_matrix(Q, dtype=np.float64)
+        Q = as_csr(Q)
         lam = float(np.abs(Q.diagonal()).max()) if Q.shape[0] else 0.0
     m = lam * max(float(t_max), 0.0)
     k = poisson_truncation_point(m, epsilon) if m > 0 else 0

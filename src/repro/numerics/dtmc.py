@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.numerics.generator import as_csr
+
 __all__ = ["uniformized_dtmc", "uniformization_rate"]
 
 
@@ -23,7 +25,7 @@ def uniformized_dtmc(Q: sp.spmatrix, lam: float | None = None) -> tuple[sp.csr_m
     ``P`` stays strictly positive (which makes downstream power methods
     aperiodic).
     """
-    Q = sp.csr_matrix(Q, dtype=np.float64)
+    Q = as_csr(Q)
     exit_rates = -Q.diagonal()
     max_exit = float(exit_rates.max()) if Q.shape[0] else 0.0
     if lam is None:

@@ -1,7 +1,8 @@
 """The CTMC generator in the row convention (``Q[i, j]``, ``i != j``, is
 the rate from ``i`` to ``j``; rows sum to zero): its one assembly from a
-rate table, its one structural measurement, and the one way to make
-states absorbing, shared by every frontend and the IR.
+rate table, its one structural measurement, the one way to make states
+absorbing and the one way to strip its diagonal, shared by every
+frontend and the IR.
 """
 
 from __future__ import annotations
@@ -11,7 +12,15 @@ from collections.abc import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["generator_from_rates", "generator_defect", "absorbing"]
+__all__ = ["as_csr", "generator_from_rates", "generator_defect", "absorbing", "off_diagonal"]
+
+
+def as_csr(Q) -> sp.csr_matrix:
+    """``Q`` as a float64 CSR matrix: ``Q`` itself when it already is
+    one (no re-wrap, no format check), else a converted copy."""
+    if isinstance(Q, sp.csr_matrix) and Q.dtype == np.float64:
+        return Q
+    return sp.csr_matrix(Q, dtype=np.float64)
 
 
 def generator_from_rates(n: int, rows, cols, rates) -> sp.csr_matrix:
@@ -59,3 +68,11 @@ def absorbing(Q: sp.csr_matrix, states: Sequence[int]) -> sp.csr_matrix:
     indptr = np.zeros_like(Q.indptr)
     np.cumsum(row_nnz * kept, out=indptr[1:])
     return sp.csr_matrix((Q.data[keep], Q.indices[keep], indptr), shape=Q.shape)
+
+
+def off_diagonal(Q: sp.spmatrix) -> sp.coo_matrix:
+    """The off-diagonal entries of ``Q`` (the rate matrix of a
+    generator), in ``Q.tocoo()``'s order: row-major for a CSR ``Q``."""
+    coo = Q.tocoo()
+    off = coo.row != coo.col
+    return sp.coo_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=Q.shape)

@@ -52,7 +52,7 @@ from repro.engine import faults
 from repro.engine.metrics import get_registry
 from repro.errors import ConvergenceError, SingularGeneratorError
 from repro.numerics import diagnostics
-from repro.numerics.generator import generator_defect
+from repro.numerics.generator import as_csr, generator_defect
 
 __all__ = ["steady_state", "SteadyStateResult", "validate_generator", "check_defect"]
 
@@ -109,7 +109,7 @@ def validate_generator(Q: sp.spmatrix, atol: float = 1e-8) -> sp.csr_matrix:
     SingularGeneratorError
         If the matrix is not square or violates generator structure.
     """
-    Q = sp.csr_matrix(Q, dtype=np.float64)
+    Q = as_csr(Q)
     n, m = Q.shape
     if n != m:
         raise SingularGeneratorError(f"generator must be square, got {n}x{m}")
@@ -265,7 +265,7 @@ def steady_state(
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
-    Q = validate_generator(Q) if check else sp.csr_matrix(Q, dtype=np.float64)
+    Q = validate_generator(Q) if check else as_csr(Q)
     n = Q.shape[0]
     if n == 1:
         return SteadyStateResult(pi=np.array([1.0]), method=method, residual=0.0)

@@ -38,10 +38,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import NumericsError, PepaError
-from repro.numerics.generator import absorbing
+from repro.numerics.generator import absorbing, off_diagonal
 from repro.numerics.transient import backward_transient
 from repro.pepa.ctmc import CTMC
 
@@ -215,8 +214,7 @@ def prob_next(chain: CTMC, target: set[int]) -> np.ndarray:
     exit_rates = -Q.diagonal()
     n = chain.n_states
     z = _indicator(chain, target)
-    R = Q - sp.diags(Q.diagonal())
-    flux = R @ z
+    flux = off_diagonal(Q) @ z
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(exit_rates > 0, flux / np.where(exit_rates > 0, exit_rates, 1.0), 0.0)
     return np.clip(u, 0.0, 1.0)
@@ -272,10 +270,10 @@ def _prob_until_unbounded(chain: CTMC, phi: set[int], psi: set[int]) -> np.ndarr
         return u
     # prob0: backward reachability from Ψ along edges inside Φ\Ψ.
     Q = chain.generator.tocsr()
-    coo = Q.tocoo()
+    R = off_diagonal(Q)
     incoming: dict[int, list[int]] = {}
-    for src, dst, val in zip(coo.row, coo.col, coo.data):
-        if src != dst and val > 0:
+    for src, dst, val in zip(R.row, R.col, R.data):
+        if val > 0:
             incoming.setdefault(int(dst), []).append(int(src))
     can_reach: set[int] = set()
     frontier = list(psi)

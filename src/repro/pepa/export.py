@@ -25,24 +25,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import PepaError
-from repro.numerics.generator import generator_from_rates
+from repro.numerics.generator import generator_from_rates, off_diagonal
 from repro.pepa.ctmc import CTMC
 
 __all__ = ["to_prism_tra", "to_prism_sta", "to_prism_lab", "export_prism", "import_tra"]
 
 
-def _rate_matrix(chain: CTMC) -> sp.coo_matrix:
-    """Off-diagonal rate matrix of the chain (aggregated transitions)."""
-    Q = chain.generator.tocoo()
-    mask = Q.row != Q.col
-    return sp.coo_matrix(
-        (Q.data[mask], (Q.row[mask], Q.col[mask])), shape=Q.shape
-    )
-
-
 def to_prism_tra(chain: CTMC) -> str:
     """Render the chain's transition matrix in PRISM ``.tra`` format."""
-    R = _rate_matrix(chain)
+    R = off_diagonal(chain.generator)
     order = np.lexsort((R.col, R.row))
     lines = [f"{chain.n_states} {R.nnz}"]
     for k in order:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import PepaError
-from repro.numerics.generator import generator_from_rates
+from repro.numerics.generator import generator_from_rates, off_diagonal
 from repro.pepa.ctmc import CTMC
 
 __all__ = [
@@ -158,11 +158,9 @@ def lump(
     n = chain.n_states
     if initial is None:
         initial = symmetry_labels(chain)
-    R = chain.generator.tocsr()
     # Strip the diagonal once; signatures use off-diagonal flows only.
-    coo = R.tocoo()
-    off = coo.row != coo.col
-    rows, cols, vals = coo.row[off], coo.col[off], coo.data[off]
+    R = off_diagonal(chain.generator.tocsr())
+    rows, cols, vals = R.row, R.col, R.data
     order = np.argsort(rows, kind="stable")
     rows, cols, vals = rows[order], cols[order], vals[order]
     starts = np.searchsorted(rows, np.arange(n + 1))

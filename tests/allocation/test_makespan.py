@@ -193,3 +193,35 @@ class TestCheckpointKeys:
             configure_cache(disk_dir=None)
         assert seen.count("chunk") == 1
         assert not list(tmp_path.glob("chunk-*"))
+
+
+class TestPassageRevisionKeys:
+    """The passage revision keys a makespan result and its checkpoints,
+    so an entry of one revision never answers a request for another."""
+
+    def test_revision_one_entry_does_not_answer_revision_two(
+        self, workload, tmp_path
+    ):
+        from repro.engine import cache_override, configure_cache, get_cache
+        from repro.ir.registry import pinned_revision
+
+        grid = np.linspace(0.0, 2000.0, 60)
+        configure_cache(disk_dir=tmp_path)
+        try:
+            with cache_override(True):
+                get_cache().clear()
+                with pinned_revision("passage", "uniformization", 1):
+                    one = makespan_cdf(MAPPING_A, workload, grid)
+                get_cache().clear()  # only the disk layer may answer
+                two = makespan_cdf(MAPPING_A, workload, grid)
+                get_cache().clear()
+                again = makespan_cdf(MAPPING_A, workload, grid)
+        finally:
+            configure_cache(disk_dir=None)
+            get_cache().clear()
+        assert [r.meta["cache"] for r in (one, two, again)] == ["miss", "miss", "hit"]
+        assert one.meta["manifest"].backend is None
+        assert two.meta["manifest"].backend == {"revision": 2}
+        assert one.cdf.tobytes() != two.cdf.tobytes()
+        assert np.abs(one.cdf - two.cdf).max() <= 1e-12
+        assert again.cdf.tobytes() == two.cdf.tobytes()

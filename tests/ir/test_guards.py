@@ -192,10 +192,14 @@ def fast_target_ir() -> MarkovIR:
 
 
 class TestTruncationDiagnostics:
-    """The reported truncation is the one the uniformization sweep ran
-    with, taken from the sweep on a miss and found again on a hit."""
+    """The reported truncation is the one the uniformization solve ran
+    with, taken from the solve on a miss and planned again on a hit.  On
+    seven points the sweep costs less than stepping; the 200-point grid
+    steps."""
 
-    TRUNCATION = ("uniformization_rate", "poisson_mean", "truncation_k", "truncation_mass")
+    TRUNCATION = (
+        "kernel", "uniformization_rate", "poisson_mean", "truncation_k", "truncation_mass",
+    )
 
     @pytest.fixture
     def spies(self, monkeypatch):
@@ -252,6 +256,73 @@ class TestTruncationDiagnostics:
                 solve(ir, "passage", targets=[2], times=grid, backend=name)
                 reports.append(self.truncation())
         assert reports[0] == reports[1]
+        assert reports[0]["kernel"] == "sweep"
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        from repro.numerics import transient
+
+        stepped, planned = [], []
+        step, weights = transient._stepped, transient.poisson_weights
+
+        def spy_step(*args):
+            stepped.append(args[3])
+            return step(*args)
+
+        def spy_weights(m, epsilon):
+            planned.append(m)
+            return weights(m, epsilon)
+
+        monkeypatch.setattr(transient, "_stepped", spy_step)
+        monkeypatch.setattr(transient, "poisson_weights", spy_weights)
+        return stepped, planned
+
+    def test_hit_and_miss_report_the_stepped_truncation(self, spies, steps):
+        swept, searched = spies
+        stepped, planned = steps
+        ir = fast_target_ir()
+        grid = np.linspace(0.0, 3.0, 200)
+        reports = []
+        with cache_override(True):
+            for expected in ("miss", "hit"):
+                result = solve(ir, "passage", targets=[2], times=grid, epsilon=1e-10)
+                assert result.meta["cache"] == expected
+                reports.append(self.truncation())
+        assert reports[0] == reports[1]
+        assert stepped == [200] and swept == []
+        assert len(planned) == 2 and searched == []  # miss and hit plan once each
+        rate = 1.02 * 2.0
+        assert reports[0]["kernel"] == "stepped"
+        assert reports[0]["uniformization_rate"] == pytest.approx(rate)
+        assert reports[0]["poisson_mean"] == pytest.approx(3.0 / 199 * rate)
+        assert reports[0]["truncation_mass"] == 1e-10
+
+    def test_dense_backend_reports_what_the_stepped_solve_noted(self):
+        ir = fast_target_ir()
+        grid = np.linspace(0.0, 3.0, 200)
+        with cache_override(False):
+            reports = []
+            for name in ("uniformization", "expm"):
+                solve(ir, "passage", targets=[2], times=grid, backend=name)
+                reports.append(self.truncation())
+        assert reports[0] == reports[1]
+        assert reports[0]["kernel"] == "stepped"
+
+    def test_revision_one_hit_reports_the_sweep(self, spies):
+        from repro.ir.registry import pinned_revision
+
+        swept, _searched = spies
+        ir = fast_target_ir()
+        grid = np.linspace(0.0, 3.0, 200)
+        reports = []
+        with cache_override(True), pinned_revision("passage", "uniformization", 1):
+            for expected in ("miss", "hit"):
+                result = solve(ir, "passage", targets=[2], times=grid)
+                assert result.meta["cache"] == expected
+                reports.append(self.truncation())
+        assert reports[0] == reports[1]
+        assert reports[0]["kernel"] == "sweep"
+        assert swept == [reports[0]["truncation_k"]]
 
 
 class TestChaosInjection:

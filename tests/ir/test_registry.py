@@ -346,3 +346,39 @@ class TestRevisionInTheCacheKey:
             configure_cache(disk_dir=previous)
             get_cache().clear()
         assert statuses == ["miss", "hit", "miss", "hit", "hit"]
+
+
+class TestPinnedRevision:
+    """Requests run a backend's latest revision; ``pinned_revision``
+    runs an earlier one that is still registered, inside its block."""
+
+    def test_revisions_registered(self):
+        from repro.ir.registry import available_revisions
+
+        assert available_revisions("passage", "uniformization") == (1, 2)
+        assert available_revisions("passage") == (1, 2)  # the default
+        assert available_revisions("steady", "sparse") == (2,)
+
+    def test_pin_selects_the_revision_inside_its_block_only(self):
+        from repro.ir.registry import pinned_revision
+
+        ir = weighted_ring_ir([1.0, 2.5, 4.0, 0.5])
+        grid = np.linspace(0.0, 3.0, 120)
+        with cache_override(False):
+            latest = solve(ir, "passage", targets=[3], times=grid)
+            with pinned_revision("passage", "uniformization", 1):
+                assert get_backend("passage").revision == 1
+                one = solve(ir, "passage", targets=[3], times=grid)
+            again = solve(ir, "passage", targets=[3], times=grid)
+        assert latest.meta["manifest"].backend["revision"] == 2
+        assert "revision" not in one.meta["manifest"].backend
+        assert latest.cdf.tobytes() == again.cdf.tobytes() != one.cdf.tobytes()
+        assert np.abs(latest.cdf - one.cdf).max() <= 1e-12
+        assert latest.mean == one.mean  # the hitting-time solve is shared
+
+    def test_unregistered_revision_is_refused(self):
+        from repro.ir.registry import pinned_revision
+
+        with pytest.raises(BackendError, match="no revision 1"):
+            with pinned_revision("steady", "sparse", 1):
+                pass

@@ -15,6 +15,7 @@ from repro.allocation.cdf import makespan_cdf
 from repro.allocation.mapping import MACHINES
 from repro.engine import cache_override
 from repro.ir import solve
+from repro.ir.registry import pinned_revision
 from repro.numerics import diagnostics, poisson, transient
 from repro.numerics.dtmc import uniformized_dtmc
 from repro.numerics.poisson import (
@@ -292,6 +293,7 @@ class TestBitIdentityOracle:
 
     @pytest.mark.parametrize("mapping", [MAPPING_A, MAPPING_B], ids=["A", "B"])
     def test_table1_makespan(self, mapping, monkeypatch):
+        # Revision 1 of the passage backend sweeps the Table I grid.
         grid = np.linspace(0.0, 400.0, 200)
         oracle_calls = []
 
@@ -299,7 +301,7 @@ class TestBitIdentityOracle:
             oracle_calls.append(args)
             return _oracle_transient(*args, **kwargs)
 
-        with cache_override(False):
+        with cache_override(False), pinned_revision("passage", "uniformization", 1):
             got = makespan_cdf(mapping, synthetic_workload(seed=3), grid)
             monkeypatch.setattr(transient, "transient_distribution", spy)
             ref = makespan_cdf(mapping, synthetic_workload(seed=3), grid)

@@ -9,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NumericsError
+from repro.numerics.generator import absorbing
+from repro.numerics.poisson import poisson_weights
 from repro.numerics.transient import (
     absorption_cdf,
+    absorption_plan,
     backward_transient,
     expected_hitting_time,
+    planned_truncation,
+    swept_absorption_cdf,
+    take_truncation,
     transient_distribution,
 )
 from tests.conftest import random_generator
@@ -239,24 +245,118 @@ class TestAbsorptionCdf:
         from repro.numerics import transient
 
         inputs, absorbing = [], []
-        real_cdf, real_dist = markov.absorption_cdf, transient.transient_distribution
+        real_cdf, real_plan = markov.absorption_cdf, transient.absorption_plan
 
         def cdf_spy(Q, pi0, target, *args):
             inputs.append((Q, target))
             return real_cdf(Q, pi0, target, *args)
 
-        def dist_spy(Qa, *args):
+        # Either kernel receives the absorbed generator through the plan.
+        def plan_spy(Qa, *args):
             absorbing.append(Qa)
-            return real_dist(Qa, *args)
+            return real_plan(Qa, *args)
 
         monkeypatch.setattr(markov, "absorption_cdf", cdf_spy)
-        monkeypatch.setattr(transient, "transient_distribution", dist_spy)
+        monkeypatch.setattr(transient, "absorption_plan", plan_spy)
         mapping = {"A": MAPPING_A, "B": MAPPING_B}[mapping]
         with cache_override(False):
             makespan_cdf(mapping, synthetic_workload(), np.linspace(0.0, 400.0, 20))
         assert len(inputs) == len(absorbing) == 5
         for (Q, target), got in zip(inputs, absorbing):
             self._assert_same_arrays(got, self._lil_route(Q, target))
+
+
+class TestSteppedKernel:
+    """``absorption_cdf``'s stepped propagator on uniform grids from 0,
+    against the sweep (revision 1's kernel) and the dense exponential."""
+
+    BOUND = 1e-12  # the truncation mass, plus round-off
+
+    @staticmethod
+    def _expm_cdf(Q, pi0, target, times):
+        Qa = Q.toarray()
+        Qa[target, :] = 0.0
+        return np.array([(pi0 @ scipy.linalg.expm(Qa * t))[target].sum() for t in times])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stepped_matches_sweep_and_expm(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 16))
+        Q = random_generator(rng, n) * float(rng.uniform(0.2, 10.0))
+        pi0 = rng.random(n)
+        pi0 /= pi0.sum()
+        target = [int(s) for s in rng.choice(n, size=int(rng.integers(1, n)), replace=False)]
+        times = np.linspace(0.0, float(rng.uniform(1.0, 30.0)), int(rng.integers(60, 300)))
+        take_truncation()
+        stepped = absorption_cdf(Q, pi0, target, times)
+        assert take_truncation()["kernel"] == "stepped"
+        swept = swept_absorption_cdf(Q, pi0, target, times)
+        assert np.abs(stepped - swept).max() <= self.BOUND
+        expm = self._expm_cdf(Q, pi0, target, times[:: max(1, times.size // 12)])
+        assert np.abs(stepped[:: max(1, times.size // 12)] - expm).max() <= self.BOUND
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.array([0.0, 0.5, 1.5, 2.0, 4.0]),  # non-uniform
+            np.linspace(0.5, 4.0, 50),  # starts after 0
+            np.linspace(0.0, 4.0, 50)[::-1],  # descending
+            np.array([0.0, 4.0]),  # N = 2
+            np.array([3.0]),  # N = 1
+            np.linspace(0.0, 0.0, 5),  # no step
+        ],
+        ids=["nonuniform", "t0", "descending", "two", "one", "zero"],
+    )
+    def test_other_grids_keep_the_sweep_bits(self, times):
+        rng = np.random.default_rng(3)
+        Q = random_generator(rng, 6) * 3.0
+        pi0 = np.eye(6)[0]
+        take_truncation()
+        got = absorption_cdf(Q, pi0, [5], times)
+        assert take_truncation()["kernel"] == "sweep"
+        assert got.tobytes() == swept_absorption_cdf(Q, pi0, [5], times).tobytes()
+
+    def test_linspace_endpoint_ulps_off_still_steps(self):
+        times = np.linspace(0.0, 7.3, 101)
+        times[-1] = np.nextafter(times[-1], np.inf)
+        Qa = absorbing(random_generator(np.random.default_rng(4), 5), [4])
+        assert absorption_plan(Qa, times)[1] is not None
+        times[50] += 1e-9  # far more than a few ulps
+        assert absorption_plan(Qa, times)[1] is None
+
+    def test_a_chain_on_each_side_of_the_cost_rule(self):
+        times = np.linspace(0.0, 20.0, 200)
+        small = absorbing(random_generator(np.random.default_rng(5), 8), [7])
+        lam, step = absorption_plan(small, times)
+        assert step is not None
+        # A sparse ring of 400 states: one dense product costs n^3, far
+        # above the sweep's mat-vecs over ~2n entries.
+        n = 400
+        ring = sp.diags([-np.ones(n), np.ones(n - 1)], [0, 1], format="csr")
+        ring = absorbing(ring, [n - 1])
+        assert absorption_plan(ring, times)[1] is None
+        take_truncation()
+        cdf = absorption_cdf(ring, np.eye(n)[0], [n - 1], times)
+        assert take_truncation()["kernel"] == "sweep"
+        assert cdf.tobytes() == swept_absorption_cdf(
+            ring, np.eye(n)[0], [n - 1], times
+        ).tobytes()
+
+    def test_truncation_is_split_across_the_steps(self):
+        times = np.linspace(0.0, 5.0, 101)
+        Q = random_generator(np.random.default_rng(6), 6)
+        take_truncation()
+        absorption_cdf(Q, np.eye(6)[0], [5], times, epsilon=1e-10)
+        noted = take_truncation()
+        lam, (dt, k_lo, w) = absorption_plan(absorbing(Q, [5]), times, 1e-10)
+        assert (dt, noted["uniformization_rate"]) == (0.05, lam)
+        assert noted["poisson_mean"] == lam * dt
+        assert noted["truncation_k"] == k_lo + w.size - 1
+        assert noted["truncation_mass"] == 1e-10
+        # epsilon / (N - 1) per step, so the 100 steps stay within epsilon.
+        ref_lo, ref_w = poisson_weights(lam * dt, 1e-10 / 100)
+        assert k_lo == ref_lo and w.tobytes() == ref_w.tobytes()
+        assert noted == planned_truncation(Q, times, 1e-10, targets=[5])
 
 
 class TestHittingTime:

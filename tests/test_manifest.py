@@ -508,8 +508,10 @@ ENZYME_SSA_IDENTITY = (
 
 
 class TestBackendRevision:
-    """``sparse`` and ``gmres`` steady run revision 2; every other
-    backend runs revision 1, which a manifest records by omission."""
+    """``sparse`` and ``gmres`` steady and ``uniformization`` passage
+    run revision 2; every other backend runs revision 1, which a
+    manifest records by omission.  Passage revision 1 stays registered,
+    so its manifests still replay."""
 
     @pytest.mark.parametrize("name", ["steady_sparse", "steady_gmres"])
     def test_pre_revision_steady_manifest_fails_in_one_line(
@@ -534,6 +536,46 @@ class TestBackendRevision:
         report = replay(manifest, verify=True)
         assert report.verified
         assert "revision" not in (report.replay_manifest.backend or {})
+
+    def test_new_passage_and_makespan_manifests_record_revision_two(self):
+        result = run_from_source(
+            "pepa", PRE_REVISION["passage"]["manifest"]["model"]["source"],
+            "passage", targets=[3], times=list(np.linspace(0.0, 4.0, 90)),
+        )
+        assert result.meta["manifest"].backend["revision"] == 2
+        assert replay(result.meta["manifest"], verify=True).verified
+        makespan = makespan_cdf(
+            MAPPING_A, synthetic_workload(seed=5), np.linspace(0.0, 400.0, 200)
+        )
+        assert makespan.meta["manifest"].backend == {"revision": 2}
+
+    @pytest.mark.parametrize(
+        "revision, env",
+        [
+            (1, {"REPRO_TRANSPORT": "pool", "REPRO_WORKERS": "2"}),
+            (2, {"REPRO_TRANSPORT": "pool", "REPRO_WORKERS": "2"}),
+            # Spawned workers inherit no context from the parent.
+            (1, {"REPRO_TRANSPORT": "remote", "REPRO_REMOTE_SPAWN": "1"}),
+        ],
+        ids=["pool-1", "pool-2", "remote-1"],
+    )
+    def test_makespan_replays_on_worker_transports(self, tmp_path, revision, env):
+        # Workers are other processes: each task carries the revision
+        # its parent runs.
+        from repro.engine.environment import environment_fingerprint
+
+        if revision == 1:
+            manifest = dataclasses.replace(
+                RunManifest.from_dict(PRE_REVISION["makespan_cdf"]["manifest"]),
+                environment=environment_fingerprint(),
+            )
+        else:
+            manifest = makespan_cdf(
+                MAPPING_A, synthetic_workload(seed=6), np.linspace(0.0, 400.0, 200)
+            ).meta["manifest"]
+        assert (manifest.backend or {}).get("revision", 1) == revision
+        path = manifest.save(tmp_path / f"makespan-{revision}.json")
+        _verify_in_fresh_process(path, env)
 
     def test_committed_ssa_fixture_keeps_its_identity(self):
         manifest = load_manifest(FIXTURES / "enzyme_ssa_ensemble_manifest.json")
