@@ -51,6 +51,14 @@ from repro.errors import ReproError
 
 __all__ = ["main", "build_arg_parser"]
 
+#: ``repro experiment``/``repro metrics`` choices: the experiment
+#: registry's names plus "all", spelled out so building the parser does
+#: not import :mod:`repro.experiments` (tested equal to the registry).
+_EXPERIMENT_NAMES = (
+    "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
+    "overhead", "biopepa", "classic", "optimize", "sensitivity", "all",
+)
+
 
 def _read_host_files(paths: list[str]) -> dict[str, bytes]:
     """Read host files into a bind map keyed by the path the tool sees."""
@@ -170,7 +178,7 @@ def _validate_command(args: argparse.Namespace) -> int:
     from repro.core import Image, validate_against_native
     from repro.core.validation import standard_validation_cases
 
-    formalism = _SOLVE_SUFFIXES.get(pathlib.Path(args.image).suffix.lower())
+    formalism = _formalism_of(args.image)
     if formalism is not None:
         return _validate_model(args, formalism)
     if args.tool is None:
@@ -298,6 +306,18 @@ _SOLVE_SUFFIXES = {
     ".biopepa": "biopepa",
     ".gpepa": "gpepa",
 }
+_NO_FORMALISM = (
+    "cannot infer the formalism from the file suffix; "
+    "pass --formalism pepa|biopepa|gpepa"
+)
+
+
+def _formalism_of(path: str, formalism: str = "auto") -> str | None:
+    """``formalism``, or when it is ``"auto"`` the one ``path``'s suffix
+    names (None for an unknown suffix)."""
+    if formalism != "auto":
+        return formalism
+    return _SOLVE_SUFFIXES.get(pathlib.Path(path).suffix.lower())
 
 
 def _print_top(labels, values, top: int) -> None:
@@ -323,16 +343,10 @@ def _solve_command(args: argparse.Namespace) -> int:
     if not args.model:
         print("error: provide a model file or --list-backends", file=sys.stderr)
         return 2
-    formalism = args.formalism
-    if formalism == "auto":
-        formalism = _SOLVE_SUFFIXES.get(pathlib.Path(args.model).suffix.lower())
-        if formalism is None:
-            print(
-                "error: cannot infer the formalism from the file suffix; "
-                "pass --formalism pepa|biopepa|gpepa",
-                file=sys.stderr,
-            )
-            return 2
+    formalism = _formalism_of(args.model, args.formalism)
+    if formalism is None:
+        print(f"error: {_NO_FORMALISM}", file=sys.stderr)
+        return 2
     source = pathlib.Path(args.model).read_text()
     from repro.errors import ReplayError
     from repro.manifest import lower_and_resolve, model_context, model_descriptor
@@ -558,14 +572,9 @@ def _submit_build_spec(args: argparse.Namespace):
         )
     if not args.model:
         raise ReproError("provide a model file, or --makespan A|B")
-    formalism = args.formalism
-    if formalism == "auto":
-        formalism = _SOLVE_SUFFIXES.get(pathlib.Path(args.model).suffix.lower())
-        if formalism is None:
-            raise ReproError(
-                "cannot infer the formalism from the file suffix; "
-                "pass --formalism pepa|biopepa|gpepa"
-            )
+    formalism = _formalism_of(args.model, args.formalism)
+    if formalism is None:
+        raise ReproError(_NO_FORMALISM)
     params: dict = {}
     if args.capability in ("transient", "ode"):
         params["times"] = times
@@ -1127,10 +1136,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p.add_argument(
         "name",
-        choices=(
-            "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-            "overhead", "biopepa", "classic", "optimize", "sensitivity", "all",
-        ),
+        choices=_EXPERIMENT_NAMES,
     )
     p.set_defaults(func=_experiment_command)
 
@@ -1142,10 +1148,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "experiment",
         nargs="?",
-        choices=(
-            "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-            "overhead", "biopepa", "classic", "optimize", "sensitivity", "all",
-        ),
+        choices=_EXPERIMENT_NAMES,
         help="experiment to run (instrumented) before reporting",
     )
     p.add_argument("--json", action="store_true", help="emit machine-readable JSON")

@@ -21,6 +21,7 @@ from repro.ir import guards
 from repro.ir.guards import DENSE_STATE_LIMIT
 from repro.ir.markov import MarkovIR
 from repro.ir.registry import register_backend, register_fallback_chain
+from repro.numerics.quantile import cdf_quantile
 from repro.numerics.steady import check_defect, steady_state
 from repro.numerics.transient import (
     absorption_cdf,
@@ -35,12 +36,32 @@ __all__ = ["PassageSolution", "DENSE_STATE_LIMIT"]
 
 @dataclass(frozen=True)
 class PassageSolution:
-    """A sampled first-passage CDF with its exact mean."""
+    """A sampled first-passage CDF with its exact mean.
+
+    Attributes
+    ----------
+    times:
+        The evaluation grid.
+    cdf:
+        ``cdf[i] = P(T <= times[i])``; monotone non-decreasing in [0, 1].
+    mean:
+        Exact mean first-passage time (from the linear hitting-time
+        system, not from the sampled curve).
+    meta:
+        Execution metadata (``cache`` status, ``backend``,
+        ``diagnostics``, the solve manifest; frontends add their own).
+    """
 
     times: np.ndarray
     cdf: np.ndarray
     mean: float
     meta: dict = field(default_factory=dict, compare=False)
+
+    def quantile(self, q: float) -> float:
+        """Earliest time the sampled CDF reaches level ``q`` (linear
+        interpolation between bracketing grid points); see
+        :func:`repro.numerics.cdf_quantile`."""
+        return cdf_quantile(self.times, self.cdf, q)
 
 
 # ---------------------------------------------------------------------------

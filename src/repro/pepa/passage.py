@@ -15,14 +15,13 @@ exponential; ablation D2, small models only).
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.engine.metrics import get_registry
 from repro.errors import NumericsError, reraise_ir_errors
 from repro.ir import solve
-from repro.numerics.quantile import cdf_quantile
+from repro.ir.backends import PassageSolution
 from repro.numerics.transient import expected_hitting_time
 from repro.pepa.ctmc import CTMC
 
@@ -31,34 +30,10 @@ __all__ = ["passage_time_cdf", "passage_time_mean", "passage_time_quantile", "Pa
 StatePredicate = Callable[[object, int], bool]
 
 
-@dataclass(frozen=True)
-class PassageTimeResult:
-    """A sampled passage-time CDF.
-
-    Attributes
-    ----------
-    times:
-        The evaluation grid.
-    cdf:
-        ``cdf[i] = P(T <= times[i])``; monotone non-decreasing in [0, 1].
-    mean:
-        Exact mean first-passage time (from the linear hitting-time
-        system, not from the sampled curve).
-    meta:
-        Execution metadata (``cache`` status, ``backend``, ``n_states``,
-        ``method``).
-    """
-
-    times: np.ndarray
-    cdf: np.ndarray
-    mean: float
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def quantile(self, q: float) -> float:
-        """Earliest time the sampled CDF reaches level ``q`` (linear
-        interpolation between bracketing grid points); see
-        :func:`repro.numerics.cdf_quantile`."""
-        return cdf_quantile(self.times, self.cdf, q)
+#: The passage result type of every frontend: the registry's solution,
+#: whose ``meta`` :func:`passage_time_cdf` extends with ``n_states`` and
+#: ``method``.
+PassageTimeResult = PassageSolution
 
 
 def _resolve_states(chain: CTMC, spec) -> list[int]:
@@ -135,10 +110,8 @@ def passage_time_cdf(
                 epsilon=epsilon,
             )
         gauges["n_states"] = n
-    result = PassageTimeResult(times=sol.times, cdf=sol.cdf, mean=sol.mean)
-    result.meta.update(sol.meta)
-    result.meta.update(n_states=n, method=method)
-    return result
+    sol.meta.update(n_states=n, method=method)
+    return sol
 
 
 def passage_time_mean(chain: CTMC, target, source: Sequence[int] | None = None) -> float:

@@ -26,8 +26,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import IllFormedModelError, PepaError
-from repro.pepa.ctmc import CTMC, ctmc_of
+from repro.errors import (
+    IllFormedModelError,
+    NumericsError,
+    PepaError,
+    reraise_ir_errors,
+)
+from repro.ir import solve
+from repro.pepa.ctmc import ctmc_of
 from repro.pepa.passage import PassageTimeResult
 from repro.pepa.statespace import derive
 from repro.pepa.syntax import (
@@ -160,21 +166,11 @@ def probe_passage_time(
         for i in range(chain.n_states)
         if space.states[i][probe_leaf] not in running_locals
     ]
-    return _flux_weighted_passage(chain, weights, targets, times)
-
-
-def _flux_weighted_passage(
-    chain: CTMC,
-    source_distribution: np.ndarray,
-    targets: list[int],
-    times: Sequence[float],
-) -> PassageTimeResult:
-    """Passage-time CDF from an arbitrary source *distribution* (the
-    public engine takes uniform source sets; probes need flux weights)."""
-    from repro.numerics.transient import absorption_cdf, expected_hitting_time
-
-    times_arr = np.asarray(times, dtype=np.float64)
-    cdf = absorption_cdf(chain.generator, source_distribution, targets, times_arr)
-    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
-    mean = expected_hitting_time(chain.generator, source_distribution, targets)
-    return PassageTimeResult(times=times_arr, cdf=cdf, mean=mean)
+    with reraise_ir_errors(NumericsError):
+        return solve(
+            chain.lower(),
+            "passage",
+            targets=tuple(targets),
+            times=np.asarray(times, dtype=np.float64),
+            pi0=weights,
+        )

@@ -144,3 +144,18 @@ class TestResultProperties:
         chain = sequential_chain([1.0, 1.0])
         result = passage_time_cdf(chain, ("S0", "Done"), [0.0, 1.0])
         assert result.mean == pytest.approx(2.0, rel=1e-9)
+
+    def test_result_is_the_registry_solution(self):
+        # One passage result type: the frontend returns the registry's
+        # solution and adds its own keys to the solve's metadata.
+        from repro.ir.backends import PassageSolution
+        from repro.pepa import PassageTimeResult
+
+        chain = sequential_chain([1.0, 2.0])
+        result = passage_time_cdf(chain, ("S0", "Done"), [0.0, 1.0, 2.0])
+        assert PassageTimeResult is PassageSolution
+        assert type(result) is PassageSolution
+        assert result.meta["backend"] == "uniformization"
+        assert result.meta["n_states"] == chain.n_states
+        assert result.meta["method"] == "uniformization"
+        assert "diagnostics" in result.meta

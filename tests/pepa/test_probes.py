@@ -104,6 +104,15 @@ class TestPassage:
         # request -> respond is a single Exp(3) stage.
         np.testing.assert_allclose(result.cdf, 1.0 - np.exp(-3.0 * times), atol=1e-8)
 
+    def test_passage_runs_through_the_registry(self):
+        # The flux-weighted passage is a registry solve: it names its
+        # backend, carries the trust diagnostics and a solve manifest.
+        times = np.linspace(0.0, 3.0, 16)
+        result = probe_passage_time(parse_model(TWO_STATE), "a", "b", times)
+        assert result.meta["backend"] == "uniformization"
+        assert result.meta["diagnostics"]
+        assert result.meta["manifest"].capability == "passage"
+
     def test_no_flux_rejected(self):
         # 'b' is enabled by the alphabet but 'a' never fires: shared 'a'
         # blocks because only one cooperand performs it.

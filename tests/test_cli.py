@@ -419,6 +419,24 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
 
+    def test_choices_are_the_experiment_registry(self):
+        from repro import cli, experiments
+
+        assert list(cli._EXPERIMENT_NAMES) == list(experiments._EXPERIMENTS) + ["all"]
+
+    def test_building_the_parser_does_not_import_experiments(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys; from repro.cli import build_arg_parser; "
+            "build_arg_parser(); print('repro.experiments' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestProfileCommand:
     def test_json_report(self, tmp_path, capsys, monkeypatch):
