@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.numerics.generator import as_csr
 from repro.numerics.poisson import poisson_truncation_point
@@ -54,32 +53,60 @@ def steady_residual(Q: sp.spmatrix, pi: np.ndarray) -> float:
 def condition_estimate(A: sp.spmatrix, lu) -> float | None:
     """1-norm condition number estimate ``kappa_1(A) = ‖A‖₁ ‖A⁻¹‖₁``.
 
-    ``A`` is the normalization-replaced steady-state system and ``lu``
-    the sparse LU the direct solver has just computed for it, so the
-    estimate costs a few triangular solves, never a factorization.
+    ``A`` is the normalization-replaced steady-state system (CSC) and
+    ``lu`` the sparse LU the direct solver has just computed for it, so
+    the estimate costs a few triangular solves, never a factorization.
     ``‖A‖₁`` is exact (the largest absolute column sum); ``‖A⁻¹‖₁`` is
-    Higham & Tisseur's lower-bound estimate through the LU with one
-    probe column (``t=1``), which draws no random vectors: the estimate
-    is deterministic and leaves NumPy's global RNG untouched.
+    :func:`_inverse_one_norm`'s lower bound.
 
     Returns ``None`` when the system is too large
-    (:data:`CONDITION_ESTIMATE_LIMIT`), tiny (order < 2 — ``onenormest``
-    needs a 2x2 or larger operator), or the estimate is not finite.
+    (:data:`CONDITION_ESTIMATE_LIMIT`), tiny (order < 2), or the
+    estimate is not finite.
     """
     n = A.shape[0]
     if n < 2 or n > CONDITION_ESTIMATE_LIMIT:
         return None
-    norm_a = float(abs(A).sum(axis=0).max())
-    # onenormest walks both A^-1 and its adjoint, so the operator needs
-    # rmatvec (a transposed LU solve) as well as matvec.
-    inv_op = spla.LinearOperator(
-        (n, n),
-        matvec=lu.solve,
-        rmatvec=lambda v: lu.solve(np.asarray(v, dtype=np.float64).ravel(), trans="T"),
-        dtype=np.float64,
-    )
-    kappa = norm_a * float(spla.onenormest(inv_op, t=1))
+    # Every column holds its normalization entry, so none is empty.
+    A = A.tocsc()
+    norm_a = float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
+    kappa = norm_a * _inverse_one_norm(lu, n)
     return kappa if np.isfinite(kappa) else None
+
+
+def _inverse_one_norm(lu, n: int, itmax: int = 5) -> float:
+    """Hager's lower bound on ``‖A⁻¹‖₁`` through the LU of ``A``: Higham
+    & Tisseur's block estimator with one probe column (``t=1``), step
+    for step as ``scipy.sparse.linalg.onenormest(..., t=1)`` walks it,
+    with plain LU solves in place of its operator wrapping.
+
+    It starts from the uniform vector and draws no random vectors: the
+    estimate is deterministic and leaves NumPy's global RNG untouched.
+    """
+    x = np.full(n, 1.0 / n)
+    est_old = 0.0
+    sign_old = None
+    j = None
+    for k in range(1, itmax + 2):
+        y = lu.solve(x)
+        est = float(np.abs(y).sum())
+        if k >= 2 and est <= est_old:
+            return est_old
+        est_old = est
+        if k > itmax:
+            break
+        sign = np.where(y >= 0.0, 1.0, -1.0)
+        if sign_old is not None and sign @ sign_old == n:
+            break
+        sign_old = sign
+        h = np.abs(lu.solve(sign, trans="T"))
+        if k >= 2 and h.max() == h[j]:
+            break
+        # The probe moves to the largest entry of h, as onenormest's
+        # reversed argsort picks it (ties included).
+        j = int(np.argsort(h)[-1])
+        x = np.zeros(n)
+        x[j] = 1.0
+    return est_old
 
 
 def simplex_defect(pi: np.ndarray) -> dict:

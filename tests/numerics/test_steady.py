@@ -53,7 +53,7 @@ class TestClosedForms:
 
 
 class TestReplacedSystem:
-    """The CSR row surgery must build exactly Q^T with its last row
+    """The CSC built from Q's arrays must be exactly Q^T with its last row
     replaced by the normalization row of ones."""
 
     @pytest.mark.parametrize("n", [2, 5, 13])
