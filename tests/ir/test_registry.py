@@ -51,7 +51,7 @@ class TestDiscovery:
         assert available_backends("ode") == {"ode": ("rk4", "scipy")}
 
     def test_defaults(self):
-        assert default_backend("steady") == "sparse"
+        assert default_backend("steady") == "uniformization"
         assert default_backend("transient") == "uniformization"
         assert default_backend("passage") == "uniformization"
         assert default_backend("ssa") == "direct"
@@ -147,7 +147,7 @@ class TestDispatch:
 
 class TestFallbackChains:
     def test_registered_chains(self):
-        assert fallback_chain("steady") == ("gmres", "sparse")
+        assert fallback_chain("steady") == ("gmres", "uniformization", "sparse")
         assert fallback_chain("transient") == ("expm", "uniformization")
         assert fallback_chain("passage") == ("expm", "uniformization")
         assert fallback_chain("ode") == ("scipy", "rk4")
@@ -325,11 +325,11 @@ class TestRevisionInTheCacheKey:
         from repro.ir import registry
 
         monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
-        power = get_backend("steady", "uniformization").func
+        sparse = get_backend("steady", "sparse").func
 
         def probe(revision):
             registry.register_backend(
-                "steady", "probe", power, accepts=(MarkovIR,),
+                "steady", "probe", sparse, accepts=(MarkovIR,),
                 revision=revision,
             )
             get_cache().clear()  # only the disk layer may answer

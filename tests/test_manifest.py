@@ -408,8 +408,9 @@ class TestDeriveBackendRecorded:
     ):
         # Naming a derive backend must not add a manifest (and its model
         # and result digests) for the derivation step: every variant
-        # hashes the chain once for the cache key, then the result and
-        # the steady manifest.
+        # hashes the chain once, keys the cache once per steady backend
+        # it tries (power iteration, then the LU for this 16-state
+        # chain), then hashes the result and the steady manifest.
         from repro.engine import cache, run_manifest
         from repro.ir import registry
 
@@ -427,7 +428,7 @@ class TestDeriveBackendRecorded:
                 "pepa", get_source("pc_lan_4"), "steady",
                 derive_backend=derive_backend,
             )
-        assert namespaces == ["ir", "ir.steady", "result", "manifest"]
+        assert namespaces == ["ir", "ir.steady", "ir.steady", "result", "manifest"]
         expected = "explicit" if derive_backend in (None, "explicit") else "population"
         recorded = result.meta["manifest"].model.get("derive_backend") or "explicit"
         assert recorded == expected
@@ -591,7 +592,7 @@ class TestBackendRevision:
 
         assert get_backend("steady", "sparse").revision == 2
         assert get_backend("steady", "gmres").revision == 2
-        assert get_backend("steady", "uniformization").revision == 1
+        assert get_backend("steady", "uniformization").revision == 2
         manifest = run_from_source(
             "pepa", get_source("active_badge"), "steady"
         ).meta["manifest"]
