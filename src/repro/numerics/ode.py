@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.errors import NumericsError
 
@@ -51,6 +50,11 @@ def integrate_ode(
     written into it — even on failure, so callers can report how much
     effort preceded the error.
     """
+    # Imported here: scipy.integrate (and the scipy.optimize it pulls
+    # in) is a third of the package's import time, and only ODE
+    # requests need it.
+    from scipy.integrate import solve_ivp
+
     t = _grid(times)
     y0 = np.asarray(y0, dtype=np.float64)
     sol = solve_ivp(
