@@ -30,7 +30,8 @@ counters) opt out per registration.
 Fallback chains
 ---------------
 A capability may declare an ordered *fallback chain*
-(:func:`register_fallback_chain`) — e.g. ``steady: gmres → sparse``.
+(:func:`register_fallback_chain`) — e.g. ``steady: gmres →
+uniformization → sparse``.
 When the requested backend fails with an error the chain
 declares recoverable (by default :data:`RECOVERABLE`:
 :class:`~repro.errors.ConvergenceError` /
